@@ -6,7 +6,9 @@ Every sequence of category occurrences drawn from the demo lexicon's
 distinct categories, up to --max-length, is proved toward --goal by
 both engines; the script reports any count disagreement.  The oracle's
 balance check is hoisted so unbalanced sequents (the vast majority)
-are rejected without touching either engine's memo tables.
+are rejected without touching either engine's memo tables.  Each
+length line and the summary give the prover's and the oracle's shares of
+the wall time apart.
 """
 
 import argparse
@@ -58,14 +60,19 @@ def main():
     oracle = SequentOracle(lexicon.bases)
     options = ProveOptions()
     total = derivable = mismatches = 0
+    prover_s = oracle_s = 0.0
     t0 = time.perf_counter()
     for length in range(1, args.max_length + 1):
         for combo in itertools.product(cats, repeat=length):
             total += 1
             if not balanced(combo, goal):
                 continue
+            t1 = time.perf_counter()
             proofs = prove(list(combo), goal, options)
+            t2 = time.perf_counter()
             expect = oracle.prove(tuple(combo), goal)
+            prover_s += t2 - t1
+            oracle_s += time.perf_counter() - t2
             if len(proofs) != len(expect):
                 mismatches += 1
                 print(
@@ -84,12 +91,16 @@ def main():
                     print("TERM MISMATCH %s" % " , ".join(map(str, combo)))
             derivable += bool(proofs)
         print(
-            "  length %d done: %d sequents, %d derivable, %d mismatches (%.1fs)"
-            % (length, total, derivable, mismatches, time.perf_counter() - t0)
+            "  length %d done: %d sequents, %d derivable, %d mismatches "
+            "(%.1fs; prover %.2fs, oracle %.1fs)"
+            % (length, total, derivable, mismatches, time.perf_counter() - t0,
+               prover_s, oracle_s)
         )
     print(
-        "swept %d sequents, %d derivable, %d mismatches in %.1fs"
-        % (total, derivable, mismatches, time.perf_counter() - t0)
+        "swept %d sequents, %d derivable, %d mismatches in %.1fs "
+        "(prover %.2fs, oracle %.1fs)"
+        % (total, derivable, mismatches, time.perf_counter() - t0,
+           prover_s, oracle_s)
     )
     return 1 if mismatches else 0
 

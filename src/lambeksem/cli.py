@@ -57,7 +57,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="lift the non-empty-antecedent restriction")
     p.add_argument("--max-readings", type=int, default=None)
     p.add_argument("--budget", type=int, default=10 ** 6,
-                   help="proof search state budget per sequent")
+                   help="proof search state budget per sentence")
     p.add_argument("--stats", action="store_true",
                    help="emit grammar and reading statistics")
     return p

@@ -11,6 +11,23 @@ from the head and over arguments eat rightward.  Every beta-eta class
 of derivations is produced exactly once, and the search terminates
 because each subproblem is strictly smaller (counting atoms).
 
+Proofs are position-relative: a node names no hypothesis.  An axiom is
+position 0 of its span, the premises of an elimination split their
+conclusion's span left to right, and an introduction's binder sits at
+the left end (under) or the right end (over) of its premise's span.  A
+proof of some categories at a goal therefore fits every span holding
+those categories, so the search is tabled, in the manner of Hepple's
+compilation chart: each (categories, goal) subproblem and each
+(head, left context, right context, goal) spine is expanded once per
+table.  One table serves one top-level `prove` call, or one
+`enumerate_parses` call across all of the sentence's sense
+assignments; nothing is kept from one sentence to the next.  Categories
+are interned to small ints once per process, so table keys hash cheaply.
+
+The budget bounds the work of one table, so of a whole sentence: it is
+charged one state per subproblem or spine expanded and one per proof
+node built.
+
 By default sequents with empty antecedents are not derivable; switch
 `lambek_restriction` off to allow them.
 """
@@ -19,10 +36,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .categories import (Atom, Category, Over, SortMap, Under,
-                         DEFAULT_SORT_MAP, category_to_text, parse_category,
-                         sem_type)
+from .categories import (Atom, Category, SortMap, Under, DEFAULT_SORT_MAP,
+                         parse_category, sem_type)
 from .lexicon import UnknownWord
 from .terms import (BETA_ETA_LONG, Abs, App, Term, Var, canonical_key,
                     normalize)
@@ -39,156 +56,206 @@ class SearchLimitExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class Hyp:
-    """A hypothesis occurrence.  Ids keep discharged hypotheses apart
-    from the words they sit between."""
-    id: int
-    category: Category
-
-
-@dataclass(frozen=True)
-class Sequent:
-    antecedent: tuple[Category, ...]
-    goal: Category
-
-    def __str__(self) -> str:
-        left = ", ".join(category_to_text(c) for c in self.antecedent)
-        return f"{left} => {category_to_text(self.goal)}"
-
-
-@dataclass(frozen=True)
 class Proof:
-    rule: str
-    hyps: tuple[Hyp, ...]
-    goal: Category
-    premises: tuple["Proof", ...] = ()
-    binder: Hyp | None = None
+    """A derivation of `width` consecutive hypotheses at `goal`.
 
-    @property
-    def sequent(self) -> Sequent:
-        return Sequent(tuple(h.category for h in self.hyps), self.goal)
+    Hypotheses are positions, not names: see the module docstring.  An
+    axiom's goal is its hypothesis's category; an under elimination's
+    premises are (argument, function), an over elimination's are
+    (function, argument)."""
+    rule: str
+    goal: Category
+    width: int
+    premises: tuple["Proof", ...] = ()
 
 
 @dataclass(frozen=True)
 class ProveOptions:
-    """`budget` caps visited search states per prove call."""
+    """`budget` caps the search states of a sentence, summed over every
+    sense assignment that `enumerate_parses` tries, or of one `prove`
+    call made on its own.  A state is a subproblem or spine expanded, or
+    a proof node built."""
     lambek_restriction: bool = True
     budget: int = 10 ** 6
 
 
-_VECTORS: dict[Category, tuple[tuple[str, int], ...]] = {}
+class _Info(NamedTuple):
+    """An interned category: its kind, the ids of its argument and result
+    (-1 for an atom), its count vector, and the id of the atom it finally
+    yields."""
+    kind: int
+    argument: int
+    result: int
+    vector: int
+    target: int
 
 
-def _vector(cat: Category) -> tuple[tuple[str, int], ...]:
-    """Signed atom counts: val(a) = unit, val(A\\B) = val(B/A) = val(B) - val(A)."""
-    vec = _VECTORS.get(cat)
-    if vec is None:
-        acc: dict[str, int] = {}
-
-        def count(c: Category, sign: int) -> None:
-            while not isinstance(c, Atom):
-                count(c.argument, -sign)
-                c = c.result
-            acc[c.name] = acc.get(c.name, 0) + sign
-
-        count(cat, 1)
-        vec = tuple(sorted(acc.items()))
-        _VECTORS[cat] = vec
-    return vec
+# Category interning: an id indexes `_CATS` and `_INFO`.  The van Benthem
+# count vector, val(a) = unit a and val(A\B) = val(B/A) = val(B) - val(A),
+# is packed into one int with a signed 32-bit digit per atom, so vectors
+# add as ints and a sum is zero only when every atom count is.
+_ATOM, _UNDER, _OVER = range(3)
+_DIGIT_BITS = 32
+_IDS: dict[Category, int] = {}
+_CATS: list[Category] = []
+_INFO: list[_Info] = []
+_ATOM_DIGITS = itertools.count()
 
 
-class _Search:
-    def __init__(self, options: ProveOptions, first_fresh_id: int):
-        self.options = options
-        self.visits = 0
-        self.fresh = itertools.count(first_fresh_id)
+def _intern(cat: Category) -> int:
+    cid = _IDS.get(cat)
+    if cid is None:
+        if isinstance(cat, Atom):
+            info = _Info(_ATOM, -1, -1,
+                         1 << (_DIGIT_BITS * next(_ATOM_DIGITS)), len(_CATS))
+        else:
+            arg, res = _intern(cat.argument), _intern(cat.result)
+            info = _Info(_UNDER if isinstance(cat, Under) else _OVER, arg, res,
+                         _INFO[res].vector - _INFO[arg].vector,
+                         _INFO[res].target)
+        cid = len(_CATS)
+        _CATS.append(cat)
+        _INFO.append(info)
+        _IDS[cat] = cid
+    return cid
 
-    def _balanced(self, hyps: tuple[Hyp, ...], goal: Category) -> bool:
+
+class _Table:
+    """Proofs of subproblems and spines, keyed by interned ids."""
+
+    def __init__(self, options: ProveOptions):
+        self.restricted = options.lambek_restriction
+        self.budget = options.budget
+        self.states = 0
+        self.proofs: dict[tuple[tuple[int, ...], int], list[Proof]] = {}
+        self.spines: dict[tuple, list[tuple[Proof, ...]]] = {}
+
+    def charge(self, states: int) -> None:
+        self.states += states
+        if self.states > self.budget:
+            raise SearchLimitExceeded(
+                f"gave up after {self.budget} search states")
+
+    def prove(self, ids: tuple[int, ...], goal: int) -> list[Proof]:
+        key = (ids, goal)
+        found = self.proofs.get(key)
+        if found is None:
+            found = self.proofs[key] = self._expand(ids, goal)
+        return found
+
+    def _expand(self, ids: tuple[int, ...], goal: int) -> list[Proof]:
+        self.charge(1)
+        if self.restricted and not ids:
+            return []
         # Every rule preserves the count vector, so a sequent whose
         # antecedent and goal disagree on any atom has no derivation.
-        acc: dict[str, int] = dict(_vector(goal))
-        for h in hyps:
-            for name, k in _vector(h.category):
-                acc[name] = acc.get(name, 0) - k
-        return not any(acc.values())
-
-    def prove(self, hyps: tuple[Hyp, ...], goal: Category) -> list[Proof]:
-        self.visits += 1
-        if self.visits > self.options.budget:
-            raise SearchLimitExceeded(
-                f"gave up after {self.options.budget} search states")
-        if self.options.lambek_restriction and not hyps:
+        if sum(_INFO[i].vector for i in ids) != _INFO[goal].vector:
             return []
-        if not self._balanced(hyps, goal):
-            return []
-        if isinstance(goal, Under):
-            hyp = Hyp(next(self.fresh), goal.argument)
-            return [Proof(UNDER_I, hyps, goal, (p,), hyp)
-                    for p in self.prove((hyp,) + hyps, goal.result)]
-        if isinstance(goal, Over):
-            hyp = Hyp(next(self.fresh), goal.argument)
-            return [Proof(OVER_I, hyps, goal, (p,), hyp)
-                    for p in self.prove(hyps + (hyp,), goal.result)]
-        out: list[Proof] = []
-        for i in range(len(hyps)):
-            head = hyps[i]
-            base = Proof(AXIOM, (head,), head.category)
-            out.extend(self._spine(base, head.category, hyps[:i], hyps[i + 1:], goal))
-        return out
-
-    def _spine(self, current: Proof, cat: Category, left: tuple[Hyp, ...],
-               right: tuple[Hyp, ...], goal: Atom) -> list[Proof]:
-        self.visits += 1
-        if self.visits > self.options.budget:
-            raise SearchLimitExceeded(
-                f"gave up after {self.options.budget} search states")
-        if isinstance(cat, Atom):
-            if cat == goal and not left and not right:
-                return [current]
-            return []
-        out: list[Proof] = []
-        if isinstance(cat, Under):
-            for k in range(len(left) + 1):
-                seg = left[k:]
-                for arg in self.prove(seg, cat.argument):
-                    step = Proof(UNDER_E, seg + current.hyps, cat.result,
-                                 (arg, current))
-                    out.extend(self._spine(step, cat.result, left[:k], right, goal))
+        kind, arg, res, _, _ = _INFO[goal]
+        if kind == _ATOM:
+            return self._eliminate(ids, goal)
+        if kind == _UNDER:
+            rule, premises = UNDER_I, self.prove((arg,) + ids, res)
         else:
-            for k in range(len(right) + 1):
-                seg = right[:k]
-                for arg in self.prove(seg, cat.argument):
-                    step = Proof(OVER_E, current.hyps + seg, cat.result,
-                                 (current, arg))
-                    out.extend(self._spine(step, cat.result, left, right[k:], goal))
+            rule, premises = OVER_I, self.prove(ids + (arg,), res)
+        self.charge(len(premises))
+        return [Proof(rule, _CATS[goal], len(ids), (p,)) for p in premises]
+
+    def _eliminate(self, ids: tuple[int, ...], goal: int) -> list[Proof]:
+        out: list[Proof] = []
+        for i, head in enumerate(ids):
+            # A spine ends in the atom its head finally yields.
+            if _INFO[head].target != goal:
+                continue
+            for args in self.spine(head, ids[:i], ids[i + 1:], goal):
+                self.charge(len(args) + 1)
+                node = Proof(AXIOM, _CATS[head], 1)
+                cid = head
+                for arg in args:
+                    kind, _, cid, _, _ = _INFO[cid]
+                    width = node.width + arg.width
+                    if kind == _UNDER:
+                        node = Proof(UNDER_E, _CATS[cid], width, (arg, node))
+                    else:
+                        node = Proof(OVER_E, _CATS[cid], width, (node, arg))
+                out.append(node)
         return out
+
+    def spine(self, head: int, left: tuple[int, ...], right: tuple[int, ...],
+              goal: int) -> list[tuple[Proof, ...]]:
+        """The argument proofs, innermost first, of every elimination
+        spine that takes `head`, between `left` and `right`, to the atom
+        `goal`."""
+        key = (head, left, right, goal)
+        found = self.spines.get(key)
+        if found is None:
+            found = self.spines[key] = self._spine(head, left, right, goal)
+        return found
+
+    def _spine(self, head: int, left: tuple[int, ...], right: tuple[int, ...],
+               goal: int) -> list[tuple[Proof, ...]]:
+        self.charge(1)
+        kind, arg, res, _, _ = _INFO[head]
+        if kind == _ATOM:
+            return [()] if head == goal and not left and not right else []
+        # Each split is (segment, left rest, right rest).  An empty
+        # segment proves nothing under the Lambek restriction.
+        empty = 0 if self.restricted else 1
+        if kind == _UNDER:
+            splits = [(left[k:], left[:k], right)
+                      for k in range(len(left) + empty)]
+        else:
+            splits = [(right[:k], left, right[k:])
+                      for k in range(1 - empty, len(right) + 1)]
+        out: list[tuple[Proof, ...]] = []
+        for segment, rest_left, rest_right in splits:
+            args = self.prove(segment, arg)
+            if args:
+                rests = self.spine(res, rest_left, rest_right, goal)
+                out.extend((a,) + rest for a in args for rest in rests)
+        return out
+
+
+def _fold(proof: Proof, axiom, apply, bind):
+    """Fold a proof from its leaves, naming word hypotheses h0..h{n-1}
+    by position and discharged hypotheses k0, k1, ... in walk order; an
+    elimination walks its function premise before its argument."""
+    counter = itertools.count()
+
+    def walk(p: Proof, env: tuple[str, ...]):
+        if p.rule == AXIOM:
+            return axiom(p, env[0])
+        if p.rule == UNDER_E:
+            arg, fn = p.premises
+            w = arg.width
+            return apply(walk(fn, env[w:]), walk(arg, env[:w]))
+        if p.rule == OVER_E:
+            fn, arg = p.premises
+            w = fn.width
+            return apply(walk(fn, env[:w]), walk(arg, env[w:]))
+        name = f"k{next(counter)}"
+        inner = (name,) + env if p.rule == UNDER_I else env + (name,)
+        return bind(p, name, walk(p.premises[0], inner))
+
+    return walk(proof, tuple(f"h{i}" for i in range(proof.width)))
 
 
 def proof_key(proof: Proof) -> str:
     """Untyped application skeleton of the proof, used for a stable order."""
-    counter = itertools.count()
-    names: dict[int, str] = {h.id: f"h{pos}" for pos, h in enumerate(proof.hyps)}
-
-    def walk(p: Proof) -> str:
-        if p.rule == AXIOM:
-            return names[p.hyps[0].id]
-        if p.rule == UNDER_E:
-            return f"({walk(p.premises[1])} {walk(p.premises[0])})"
-        if p.rule == OVER_E:
-            return f"({walk(p.premises[0])} {walk(p.premises[1])})"
-        names[p.binder.id] = f"k{next(counter)}"
-        return f"(\\{names[p.binder.id]}.{walk(p.premises[0])})"
-
-    return walk(proof)
+    return _fold(proof, lambda p, name: name,
+                 lambda fn, arg: f"({fn} {arg})",
+                 lambda p, name, body: f"(\\{name}.{body})")
 
 
 def prove(antecedent: list[Category] | tuple[Category, ...], goal: Category,
-          options: ProveOptions | None = None) -> list[Proof]:
-    """All non-equivalent derivations of the sequent, stably ordered."""
-    options = options or ProveOptions()
-    hyps = tuple(Hyp(i, c) for i, c in enumerate(antecedent))
-    search = _Search(options, first_fresh_id=len(hyps))
-    proofs = search.prove(hyps, goal)
+          options: ProveOptions | None = None, *,
+          _table: _Table | None = None) -> list[Proof]:
+    """All non-equivalent derivations of the sequent, stably ordered.
+
+    `_table` lets `enumerate_parses` share one table, and so one budget,
+    across a sentence's sense assignments; it overrides `options`."""
+    table = _table or _Table(options or ProveOptions())
+    proofs = table.prove(tuple(map(_intern, antecedent)), _intern(goal))
     return sorted(proofs, key=proof_key)
 
 
@@ -200,37 +267,9 @@ def extract_term(proof: Proof, bases: SortMap = DEFAULT_SORT_MAP) -> Term:
     elimination applies the right premise to the left one, over
     elimination the left premise to the right one.
     """
-    names: dict[int, str] = {h.id: f"h{pos}" for pos, h in enumerate(proof.hyps)}
-    counter = itertools.count()
-
-    def walk(p: Proof) -> Term:
-        if p.rule == AXIOM:
-            hyp = p.hyps[0]
-            return Var(names[hyp.id], sem_type(hyp.category, bases))
-        if p.rule == UNDER_E:
-            arg, fn = p.premises
-            return App(walk(fn), walk(arg))
-        if p.rule == OVER_E:
-            fn, arg = p.premises
-            return App(walk(fn), walk(arg))
-        hyp = p.binder
-        names[hyp.id] = f"k{next(counter)}"
-        return Abs(names[hyp.id], sem_type(hyp.category, bases),
-                   walk(p.premises[0]))
-
-    return walk(proof)
-
-
-def proof_to_text(proof: Proof, indent: str = "  ") -> str:
-    lines: list[str] = []
-
-    def walk(p: Proof, depth: int) -> None:
-        lines.append(f"{indent * depth}{p.rule}: {p.sequent}")
-        for q in p.premises:
-            walk(q, depth + 1)
-
-    walk(proof, 0)
-    return "\n".join(lines)
+    return _fold(proof, lambda p, name: Var(name, sem_type(p.goal, bases)), App,
+                 lambda p, name, body: Abs(name, sem_type(p.goal.argument, bases),
+                                           body))
 
 
 @dataclass(frozen=True)
@@ -247,7 +286,8 @@ def enumerate_parses(lexicon, words: list[str] | tuple[str, ...],
                      goal: Category | str = "S",
                      options: ProveOptions | None = None) -> list[Parse]:
     """All parses of the word sequence: every sense assignment crossed
-    with every derivation of the resulting category sequence."""
+    with every derivation of the resulting category sequence.  The
+    assignments share one search table, and so one budget."""
     options = options or ProveOptions()
     goal_cat = parse_category(goal, lexicon.bases) if isinstance(goal, str) else goal
     entries = []
@@ -258,9 +298,10 @@ def enumerate_parses(lexicon, words: list[str] | tuple[str, ...],
         entries.append(e)
     out: list[Parse] = []
     seen: set[str] = set()
+    table = _Table(options)
     for combo in itertools.product(*[range(len(e.senses)) for e in entries]):
         cats = tuple(entries[i].senses[s].category for i, s in enumerate(combo))
-        for proof in prove(cats, goal_cat, options):
+        for proof in prove(cats, goal_cat, options, _table=table):
             term = extract_term(proof, lexicon.bases)
             # Assignments can collide on the same derivational term;
             # the first one in sense order wins.

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from lambeksem import (
     App,
     Atom,
     BETA_ETA_LONG,
+    ComposeOptions,
     OccurrenceClass,
     Over,
     ProveOptions,
@@ -16,6 +19,7 @@ from lambeksem import (
     UnknownWord,
     Var,
     alpha_eq,
+    analyze,
     canonical_key,
     classify_occurrences,
     enumerate_parses,
@@ -27,6 +31,7 @@ from lambeksem import (
     type_of,
 )
 from lambeksem import DEFAULT_SORT_MAP
+from lambeksem.prover import _Table, proof_key
 from seqoracle import SequentOracle, balanced, reading_keys
 
 NP = Atom("np")
@@ -75,6 +80,26 @@ def test_prove_empty_antecedent_allowed_when_lifted():
 def test_prove_exhausted_budget_raises():
     with pytest.raises(SearchLimitExceeded):
         prove(FLAGSHIP, S, ProveOptions(budget=3))
+
+
+WASHINGTON_6 = ("Washington " + " and ".join(["borders the Potomac"] * 6)).split()
+
+
+def test_six_conjunct_chain_completes_under_default_budget(demo_lexicon):
+    assert analyze(WASHINGTON_6, demo_lexicon).parse_count == 42
+
+
+def test_budget_counts_the_whole_sentence(demo_lexicon):
+    # Only the first of the chain's 32 sense assignments is balanced.  A
+    # budget that its search alone just fits is exhausted by the balance
+    # checks of the other 31.
+    cats = [demo_lexicon.entry(w).senses[0].category for w in WASHINGTON_6]
+    table = _Table(ProveOptions())
+    assert len(prove(cats, S, _table=table)) == 42
+    assert len(prove(cats, S, ProveOptions(budget=table.states))) == 42
+    with pytest.raises(SearchLimitExceeded):
+        analyze(WASHINGTON_6, demo_lexicon,
+                options=ComposeOptions(budget=table.states))
 
 
 def test_prove_deterministic_across_runs():
@@ -173,6 +198,18 @@ def test_enumerate_dedups_across_assignments(demo_lexicon):
     assert len({norm_key(p.term) for p in parses}) == 2
 
 
+PARSE_ORDER = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "parse_order.json").read_text())
+
+
+@pytest.mark.parametrize("entry", PARSE_ORDER["sentences"],
+                         ids=lambda e: e["sentence"])
+def test_enumerate_order_is_pinned(demo_lexicon, entry):
+    parses = enumerate_parses(demo_lexicon, entry["sentence"].split(), "S")
+    got = [[list(p.sense_indices), norm_key(p.term)] for p in parses]
+    assert got == entry["parses"]
+
+
 def test_enumerate_deterministic(scope_lexicon):
     words = "every kid watched a cartoon".split()
     first = [(p.sense_indices, norm_key(p.term))
@@ -222,3 +259,35 @@ def test_property_extracted_terms_linear_and_sound(cats, goal):
         term = extract_term(proof)
         assert classify_occurrences(term) == OccurrenceClass.LINEAR
         assert type_of(term, _hyp_context(cats)) == sem_type(goal)
+
+
+UNRESTRICTED_ORACLE = SequentOracle(DEFAULT_SORT_MAP, lambek_restriction=False)
+
+
+@given(st.lists(small_categories, max_size=3), small_categories)
+@settings(max_examples=120, deadline=None)
+def test_property_prover_matches_oracle_without_lambek_restriction(cats, goal):
+    got = prove(cats, goal, ProveOptions(lambek_restriction=False))
+    expect = reading_keys(tuple(cats), goal, DEFAULT_SORT_MAP,
+                          oracle=UNRESTRICTED_ORACLE)
+    assert len(got) == len(expect)
+    assert {norm_key(extract_term(p)) for p in got} == expect
+
+
+@given(st.lists(small_categories, min_size=1, max_size=4),
+       st.sampled_from([NP, N, S]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_property_warm_table_changes_no_proof(cats, goal, data):
+    # B is a span of A plus a few more categories, so that the two
+    # searches share subproblems.
+    start = data.draw(st.integers(0, len(cats) - 1))
+    stop = data.draw(st.integers(start + 1, len(cats)))
+    extra = data.draw(st.lists(small_categories, max_size=2))
+    other_cats = cats[start:stop] + extra
+    other_goal = data.draw(st.sampled_from([NP, N, S]))
+    table = _Table(ProveOptions())
+    prove(cats, goal, _table=table)
+    warm = prove(other_cats, other_goal, _table=table)
+    cold = prove(other_cats, other_goal)
+    assert [proof_key(p) for p in warm] == [proof_key(p) for p in cold]
+    assert [extract_term(p) for p in warm] == [extract_term(p) for p in cold]
