@@ -9,7 +9,6 @@ parses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .terms import Arrow, E, SemType, T
 
@@ -74,9 +73,6 @@ class SortMap:
             if n == name:
                 return ty
         raise UnknownAtom(name)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.bases)
 
 
 DEFAULT_SORT_MAP = SortMap()
@@ -185,14 +181,6 @@ def count_atoms(cat: Category) -> int:
     if isinstance(cat, Atom):
         return 1
     return count_atoms(cat.result) + count_atoms(cat.argument)
-
-
-def atoms(cat: Category) -> Iterable[str]:
-    if isinstance(cat, Atom):
-        yield cat.name
-    else:
-        yield from atoms(cat.result)
-        yield from atoms(cat.argument)
 
 
 def sem_type(cat: Category, bases: SortMap | None = None) -> SemType:

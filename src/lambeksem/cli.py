@@ -4,7 +4,8 @@ Exit status: 0 when every sentence is OK, 1 when any sentence fails to
 parse, 2 when every failure is a sort failure (parse exists, no
 admissible coercion assignment), 3 on input errors, including unknown
 words and exhausted search budgets.  Worse outcomes win: 3 over 1 over
-2 over 0.
+2 over 0.  A sentence that raises an error gets an ERROR record of its
+own; the sentences after it are still analyzed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from .categories import CategorySyntaxError, UnknownAtom, category_to_text
 from .composer import (ComposeOptions, CompositionError, Reading,
                        SentenceAnalysis, analyze)
-from .hol import ASCII, UNICODE, formula_tree, render, to_formula
+from .hol import (ASCII, UNICODE, NonLogicalHead, NotAProposition, formula_tree,
+                  render, to_formula)
 from .lexicon import LexiconError, UnknownWord, load_lexicon_file
 from .metrics import grammar_stats, quantifier_count, reading_report
 from .prover import SearchLimitExceeded
@@ -113,14 +115,14 @@ def _sentence_record(sentence: str, lexicon, config: RunConfig) -> tuple[dict, i
     record: dict = {"sentence": sentence}
     try:
         result: SentenceAnalysis = analyze(words, lexicon, config.goal, options)
-    except UnknownWord as exc:
-        record.update(outcome=ERROR, readings=[], error=str(exc))
-        return record, 3
-    except SearchLimitExceeded as exc:
+        readings = [_reading_record(r) for r in result.readings]
+    except (UnknownWord, SearchLimitExceeded, CompositionError, CategorySyntaxError,
+            UnknownAtom, NonLogicalHead, NotAProposition) as exc:
+        # A fault in one sentence becomes its record; the batch goes on.
         record.update(outcome=ERROR, readings=[], error=str(exc))
         return record, 3
     record["outcome"] = result.outcome
-    record["readings"] = [_reading_record(r) for r in result.readings]
+    record["readings"] = readings
     if config.stats_enabled:
         report = reading_report(words, len(result.readings),
                                 quantifier_count(lexicon, words))
@@ -137,16 +139,13 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 3, f"error: cannot read lexicon: {exc}\n"
     except (LexiconError, UnknownAtom, CategorySyntaxError) as exc:
         return 3, f"error: invalid lexicon {config.lexicon_path}: {exc}\n"
-    try:
-        records = []
-        worst = 0
-        for sentence in config.sentences:
-            record, status = _sentence_record(sentence, lexicon, config)
-            records.append(record)
-            if _EXIT_SEVERITY[status] > _EXIT_SEVERITY[worst]:
-                worst = status
-    except (CategorySyntaxError, UnknownAtom, CompositionError) as exc:
-        return 3, f"error: {exc}\n"
+    records = []
+    worst = 0
+    for sentence in config.sentences:
+        record, status = _sentence_record(sentence, lexicon, config)
+        records.append(record)
+        if _EXIT_SEVERITY[status] > _EXIT_SEVERITY[worst]:
+            worst = status
 
     if config.output_format == "json":
         doc: dict = {"sentences": records}

@@ -24,9 +24,9 @@ from .categories import Category, parse_category, sem_type
 from .lexicon import Coercion, Lexicon, phrase_coercions
 from .prover import Parse, ProveOptions, enumerate_parses
 from .terms import (Abs, App, Arrow, BETA, BETA_ETA_LONG, Const, E, PolyInst,
-                    SemType, SortAtom, T, Term, TypeVar, Var, canonical_key,
-                    canonicalize, free_vars, normalize, subst_type, type_of,
-                    type_vars)
+                    SemType, SortAtom, T, Term, TypeVar, UnificationError,
+                    Unifier, Var, canonical_key, canonicalize, free_vars,
+                    map_types, normalize, subst_type, type_of)
 
 
 class CompositionError(Exception):
@@ -37,17 +37,13 @@ class MissingSense(CompositionError):
     pass
 
 
-class CoercionDepthExceeded(CompositionError):
-    pass
-
-
 @dataclass(frozen=True)
 class MismatchSite:
     """An application whose argument sort clashes with the parameter sort.
 
     `location` is the path of fn/arg/body steps from the root to the
-    argument subterm.  `candidates` holds the coercion chains (most
-    often single steps) that can bridge found -> expected; a site with a
+    argument subterm.  `candidates` holds the coercions that bridge
+    found -> expected, each as a one-step chain; a site with a
     non-atomic clash is fatal and has no candidates.
     """
     location: tuple[str, ...]
@@ -90,7 +86,6 @@ class Reading:
 @dataclass(frozen=True)
 class ComposeOptions:
     coercions_enabled: bool = True
-    max_coercion_depth: int = 1
     lambek_restriction: bool = True
     budget: int = 10 ** 6
     max_readings: int | None = None
@@ -116,52 +111,10 @@ class SentenceAnalysis:
 # ---------------------------------------------------------------------------
 # hole resolution
 
-class _Holes:
-    def __init__(self) -> None:
-        self.counter = itertools.count()
-        self.binding: dict[str, SemType] = {}
-
-    def fresh(self) -> TypeVar:
-        return TypeVar(f"_h{next(self.counter)}")
-
-    def resolve(self, ty: SemType) -> SemType:
-        if isinstance(ty, TypeVar) and ty.name in self.binding:
-            return self.resolve(self.binding[ty.name])
-        if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.domain), self.resolve(ty.codomain))
-        return ty
-
-    def bind(self, var: TypeVar, ty: SemType) -> None:
-        if isinstance(ty, TypeVar) and ty.name == var.name:
-            return
-        if var.name in type_vars(ty):
-            raise CompositionError(f"circular instantiation of {var.name}")
-        self.binding[var.name] = ty
-
-    def unify_tolerant(self, a: SemType, b: SemType) -> None:
-        """Bind holes; let ground sort clashes stand (they become
-        mismatch sites later); reject structural clashes outright."""
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, TypeVar):
-            self.bind(a, b)
-            return
-        if isinstance(b, TypeVar):
-            self.bind(b, a)
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            self.unify_tolerant(a.domain, b.domain)
-            self.unify_tolerant(a.codomain, b.codomain)
-            return
-        if isinstance(a, SortAtom) and isinstance(b, SortAtom):
-            return
-        raise CompositionError(f"cannot compose {a} with {b}")
-
-
-def _holeify(term: Term, holes: _Holes) -> Term:
+def _open(term: Term, mapping: dict[str, Term], holes: Unifier) -> Term:
     """Replace every e inside a derivational binder annotation with a
-    fresh hole, consistently on the binder and its occurrences."""
+    fresh hole, consistently on the binder and its occurrences, and each
+    free word variable with its lexical term (closed, so no capture)."""
 
     def open_type(ty: SemType) -> SemType:
         if ty == E:
@@ -172,7 +125,7 @@ def _holeify(term: Term, holes: _Holes) -> Term:
 
     def walk(t: Term, env: dict[str, SemType]) -> Term:
         if isinstance(t, Var):
-            return Var(t.name, env.get(t.name, t.type))
+            return Var(t.name, env[t.name]) if t.name in env else mapping.get(t.name, t)
         if isinstance(t, Abs):
             opened = open_type(t.var_type)
             return Abs(t.var, opened, walk(t.body, {**env, t.var: opened}))
@@ -183,91 +136,24 @@ def _holeify(term: Term, holes: _Holes) -> Term:
     return walk(term, {})
 
 
-def _freshen_insts(term: Term, holes: _Holes) -> Term:
-    if isinstance(term, PolyInst):
-        return term.with_inst({name: holes.fresh() for name, _ in term.inst})
-    if isinstance(term, App):
-        return App(_freshen_insts(term.fn, holes), _freshen_insts(term.arg, holes))
-    if isinstance(term, Abs):
-        return Abs(term.var, term.var_type, _freshen_insts(term.body, holes))
-    return term
-
-
-def _raw_substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    # Replacements are closed, so capture cannot happen.
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, App):
-        return App(_raw_substitute(term.fn, mapping),
-                   _raw_substitute(term.arg, mapping))
-    if isinstance(term, Abs):
-        inner = {k: v for k, v in mapping.items() if k != term.var}
-        return Abs(term.var, term.var_type, _raw_substitute(term.body, inner))
-    return term
-
-
-def _resolve_pass(term: Term, holes: _Holes) -> SemType:
+def _infer(term: Term, holes: Unifier) -> SemType:
+    """Type of the term, binding holes at every application; sort clashes
+    are left for `find_mismatches`."""
     if isinstance(term, (Var, Const)):
         return term.type
     if isinstance(term, PolyInst):
         return subst_type(term.schema, term.inst_map)
     if isinstance(term, Abs):
-        return Arrow(term.var_type, _resolve_pass(term.body, holes))
-    if isinstance(term, App):
-        fn_ty = holes.resolve(_resolve_pass(term.fn, holes))
-        arg_ty = _resolve_pass(term.arg, holes)
-        if isinstance(fn_ty, TypeVar):
-            result = holes.fresh()
-            holes.bind(fn_ty, Arrow(arg_ty, result))
-            return result
-        if not isinstance(fn_ty, Arrow):
-            raise CompositionError(f"application of non-function type {fn_ty}")
-        holes.unify_tolerant(fn_ty.domain, arg_ty)
-        return fn_ty.codomain
-    raise CompositionError(f"unexpected node {term!r}")
-
-
-def _ground(term: Term, holes: _Holes) -> Term:
-    def ground_type(ty: SemType) -> SemType:
-        ty = holes.resolve(ty)
-        leftover = type_vars(ty)
-        if leftover:
-            ty = subst_type(ty, {v: E for v in leftover})
-        return ty
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(t.name, ground_type(t.type))
-        if isinstance(t, Const):
-            return Const(t.name, ground_type(t.type))
-        if isinstance(t, PolyInst):
-            return t.with_inst({n: ground_type(v) for n, v in t.inst})
-        if isinstance(t, Abs):
-            return Abs(t.var, ground_type(t.var_type), walk(t.body))
-        return App(walk(t.fn), walk(t.arg))
-
-    return walk(term)
-
-
-def _instantiate_types(term: Term, mapping: dict[str, SemType]) -> Term:
-    if isinstance(term, Var):
-        return Var(term.name, subst_type(term.type, mapping))
-    if isinstance(term, Const):
-        return Const(term.name, subst_type(term.type, mapping))
-    if isinstance(term, PolyInst):
-        return term.with_inst({n: subst_type(v, mapping) for n, v in term.inst})
-    if isinstance(term, Abs):
-        return Abs(term.var, subst_type(term.var_type, mapping),
-                   _instantiate_types(term.body, mapping))
-    return App(_instantiate_types(term.fn, mapping),
-               _instantiate_types(term.arg, mapping))
+        return Arrow(term.var_type, _infer(term.body, holes))
+    return holes.apply(_infer(term.fn, holes), _infer(term.arg, holes))[0]
 
 
 def _unfold_definitions(term: Term, lexicon: Lexicon) -> Term:
     if isinstance(term, PolyInst):
         poly = lexicon.poly(term.name)
         if poly is not None and poly.definition is not None:
-            body = _instantiate_types(poly.definition, term.inst_map)
+            inst = term.inst_map
+            body = map_types(poly.definition, lambda ty: subst_type(ty, inst))
             return _unfold_definitions(body, lexicon)
         return term
     if isinstance(term, App):
@@ -287,7 +173,14 @@ def substitute_lexical(parse: Parse, lexicon: Lexicon) -> Term:
     unfolded) but possibly ill-typed at sort-clashing application
     sites, and still unreduced.
     """
-    holes = _Holes()
+    holes = Unifier()
+
+    def freshen(ty: SemType) -> SemType:
+        # Senses are typed without schema variables, so the only type
+        # variables in one are the identity instantiations of its
+        # polymorphic constants; each occurrence gets its own holes.
+        return holes.fresh() if isinstance(ty, TypeVar) else ty
+
     mapping: dict[str, Term] = {}
     for pos, word in enumerate(parse.words):
         entry = lexicon.entry(word)
@@ -296,40 +189,21 @@ def substitute_lexical(parse: Parse, lexicon: Lexicon) -> Term:
         idx = parse.sense_indices[pos]
         if idx >= len(entry.senses):
             raise MissingSense(f"{word} has no sense #{idx}")
-        mapping[f"h{pos}"] = _freshen_insts(entry.senses[idx].term, holes)
+        mapping[f"h{pos}"] = map_types(entry.senses[idx].term, freshen)
 
-    opened = _holeify(parse.term, holes)
-    substituted = _raw_substitute(opened, mapping)
-    _resolve_pass(substituted, holes)
-    grounded = _ground(substituted, holes)
-    return _unfold_definitions(grounded, lexicon)
+    substituted = _open(parse.term, mapping, holes)
+    try:
+        _infer(substituted, holes)
+    except UnificationError as exc:
+        raise CompositionError(f"cannot compose: {exc}") from exc
+    return _unfold_definitions(map_types(substituted, holes.ground), lexicon)
 
 
 # ---------------------------------------------------------------------------
 # mismatch detection and repair
 
-def _coercion_chains(found: SortAtom, expected: SortAtom,
-                     available: tuple[Coercion, ...],
-                     max_depth: int) -> tuple[tuple[Coercion, ...], ...]:
-    """Chains c1;..;ck with k <= max_depth stepping found -> expected."""
-    chains: list[tuple[Coercion, ...]] = []
-
-    def extend(at: SortAtom, chain: tuple[Coercion, ...]) -> None:
-        if len(chain) >= max_depth:
-            return
-        for c in available:
-            if c.source == at and c not in chain:
-                if c.target == expected:
-                    chains.append(chain + (c,))
-                else:
-                    extend(c.target, chain + (c,))
-
-    extend(found, ())
-    return tuple(chains)
-
-
-def find_mismatches(term: Term, available: tuple[Coercion, ...] = (),
-                    max_depth: int = 1) -> list[MismatchSite]:
+def find_mismatches(term: Term, available: tuple[Coercion, ...] = ()
+                    ) -> list[MismatchSite]:
     """All application sites whose argument type differs from the
     parameter type, in walk order.  Atomic clashes carry their repair
     candidates; anything else is fatal."""
@@ -354,7 +228,8 @@ def find_mismatches(term: Term, available: tuple[Coercion, ...] = (),
             if isinstance(fn_ty.domain, SortAtom) and isinstance(arg_ty, SortAtom):
                 sites.append(MismatchSite(
                     path + ("arg",), fn_ty.domain, arg_ty,
-                    _coercion_chains(arg_ty, fn_ty.domain, available, max_depth)))
+                    tuple((c,) for c in available
+                          if c.source == arg_ty and c.target == fn_ty.domain)))
             else:
                 sites.append(MismatchSite(path + ("arg",), fn_ty.domain,
                                           arg_ty, (), fatal=True))
@@ -393,26 +268,13 @@ def _rigidity_ok(chains: tuple[tuple[Coercion, ...], ...]) -> bool:
     return True
 
 
-def resolve_coercions(term: Term, available: tuple[Coercion, ...],
-                      options: ComposeOptions | None = None
+def resolve_coercions(term: Term, available: tuple[Coercion, ...]
                       ) -> list[tuple[Term, tuple[tuple[MismatchSite, tuple[Coercion, ...]], ...]]]:
     """Every way of repairing the term's mismatch sites, one coercion
     chain per site, subject to the rigidity blocking rule."""
-    options = options or ComposeOptions()
-    depth = max(1, options.max_coercion_depth)
-    sites = find_mismatches(term, available, depth)
-    if any(s.fatal for s in sites):
+    sites = find_mismatches(term, available)
+    if any(s.fatal or not s.candidates for s in sites):
         return []
-    for s in sites:
-        if not s.candidates:
-            # Distinguish a genuinely unsolvable site from one whose
-            # repair exists but only beyond the configured chain depth.
-            if depth >= 2 and _coercion_chains(s.found, s.expected, available,
-                                               len(available)):
-                raise CoercionDepthExceeded(
-                    f"repair of {s.found} -> {s.expected} needs a chain "
-                    f"longer than {depth}")
-            return []
     out = []
     for combo in itertools.product(*[s.candidates for s in sites]):
         if not _rigidity_ok(combo):
@@ -447,7 +309,7 @@ def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
     grouped: dict[str, tuple[Term, list[Provenance]]] = {}
     for parse in parses:
         substituted = substitute_lexical(parse, lexicon)
-        for repaired, choices in resolve_coercions(substituted, available, options):
+        for repaired, choices in resolve_coercions(substituted, available):
             formula_term = normalize(repaired, BETA)
             if free_vars(formula_term):
                 raise CompositionError("reading is not closed")

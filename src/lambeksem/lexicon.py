@@ -17,15 +17,15 @@ constants; quantifiers are sort-indexed families at (s -> t) -> t.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .categories import (Category, CategorySyntaxError, DEFAULT_SORT_MAP, SortMap, UnknownAtom,
                          parse_category, category_to_text, sem_type)
-from .terms import (Abs, App, Arrow, Const, E, PolyInst, SemType, SortAtom, T,
-                    Term, TypeVar, Var, erase_type, poly_inst, subst_type,
-                    term_to_text, type_of, type_vars, classify_occurrences,
-                    OccurrenceClass)
+from .terms import (Abs, App, Arrow, Const, E, SemType, SortAtom, T, Term,
+                    TypeVar, UnificationError, Unifier, Var, erase_type, map_types,
+                    poly_inst, subst_type, term_to_text, type_of, type_vars,
+                    classify_occurrences, OccurrenceClass)
 
 LOGICAL_CONNECTIVES = {"and": "and", "or": "or", "implies": "implies"}
 QUANTIFIERS = ("forall", "exists")
@@ -115,8 +115,6 @@ class Lexicon:
     bases: SortMap
     poly_constants: tuple[PolyConstant, ...]
     entries: tuple[LexEntry, ...]
-    global_coercions: tuple[Coercion, ...] = ()
-    constants: tuple[tuple[str, SemType], ...] = ()
 
     def entry(self, word: str) -> LexEntry | None:
         for e in self.entries:
@@ -129,15 +127,6 @@ class Lexicon:
             if p.name == name:
                 return p
         return None
-
-    def sort_atom(self, name: str) -> SortAtom:
-        if name not in self.sorts:
-            raise SortUndeclared(f"sort not declared: {name}")
-        return SortAtom(name)
-
-    @property
-    def constant_types(self) -> dict[str, SemType]:
-        return dict(self.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -344,50 +333,6 @@ def _parse_raw_term(text: str) -> object:
     return out
 
 
-# Unification over resolution holes, used while typing a parsed term.
-class _Holes:
-    def __init__(self) -> None:
-        self.binding: dict[str, SemType] = {}
-        self.counter = 0
-
-    def fresh(self, prefix: str) -> TypeVar:
-        self.counter += 1
-        return TypeVar(f"{prefix}{self.counter}")
-
-    def resolve(self, ty: SemType) -> SemType:
-        if isinstance(ty, TypeVar) and ty.name in self.binding:
-            return self.resolve(self.binding[ty.name])
-        if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.domain), self.resolve(ty.codomain))
-        return ty
-
-    def unify(self, a: SemType, b: SemType, where: str) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        # Only resolution holes may be bound.  Schema variables stay
-        # rigid: a definition may apply a (b -> t) predicate to a c
-        # argument, and that clash is repaired at use sites, so an
-        # atomic disagreement involving a schema variable is tolerated.
-        if isinstance(a, TypeVar) and a.name.startswith("_"):
-            if a.name in type_vars(b):
-                raise TermNotationError(f"circular type in {where}", 0)
-            self.binding[a.name] = b
-            return
-        if isinstance(b, TypeVar) and b.name.startswith("_"):
-            self.unify(b, a, where)
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            self.unify(a.domain, b.domain, where)
-            self.unify(a.codomain, b.codomain, where)
-            return
-        atomic_a = isinstance(a, (SortAtom, TypeVar))
-        atomic_b = isinstance(b, (SortAtom, TypeVar))
-        if atomic_a and atomic_b and (isinstance(a, TypeVar) or isinstance(b, TypeVar)):
-            return
-        raise TypeErasureMismatch(f"cannot reconcile {a} with {b} in {where}")
-
-
 def parse_term(text: str, *, sorts: tuple[str, ...],
                poly: Mapping[str, SemType] | None = None,
                coercion_types: Mapping[str, SemType] | None = None,
@@ -409,8 +354,9 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
     poly = dict(poly or {})
     coercion_types = dict(coercion_types or {})
     known = dict(constant_types or {})
-    holes = _Holes()
+    holes = Unifier()
     new_constants: dict[str, SemType] = {}
+    quantifier_types: set[SemType] = set()
 
     def build(raw: object, env: dict[str, SemType]) -> tuple[Term, SemType]:
         if isinstance(raw, _RawLam):
@@ -422,13 +368,9 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
         if isinstance(raw, _RawApp):
             fn, fn_ty = build(raw.fn, env)
             arg, arg_ty = build(raw.arg, env)
-            fn_ty = holes.resolve(fn_ty)
-            if not isinstance(fn_ty, Arrow):
-                hole = holes.fresh("_r")
-                holes.unify(fn_ty, Arrow(arg_ty, hole), where)
-                return App(fn, arg), hole
-            holes.unify(fn_ty.domain, arg_ty, where)
-            return App(fn, arg), fn_ty.codomain
+            result, clashes = holes.apply(fn_ty, arg_ty)
+            reject_sort_clashes(clashes)
+            return App(fn, arg), result
         if isinstance(raw, _RawName):
             name = raw.name
             if name in env:
@@ -439,8 +381,8 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
             if name in LOGICAL_CONNECTIVES:
                 return Const(name, CONNECTIVE_TYPE), CONNECTIVE_TYPE
             if name in QUANTIFIERS:
-                sort_hole = holes.fresh("_q")
-                ty = Arrow(Arrow(sort_hole, T), T)
+                ty = Arrow(Arrow(holes.fresh(), T), T)
+                quantifier_types.add(ty)
                 return Const(name, ty), ty
             if name in poly:
                 node = poly_inst(name, poly[name])
@@ -459,49 +401,50 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
                 return Const(name, ty), ty
             if name in known:
                 return Const(name, known[name]), known[name]
-            hole = holes.fresh("_c")
+            hole = holes.fresh()
             new_constants[name] = hole
             known[name] = hole
             return Const(name, hole), hole
         raise TermNotationError(f"unparsed node {raw!r}", 0)
 
-    raw = _parse_raw_term(text)
-    term, top_type = build(raw, {})
+    def reject_sort_clashes(clashes: list[tuple[SemType, SemType]]) -> None:
+        # Schema variables are never bound: a definition may apply a
+        # (b -> t) predicate to a c argument, and that clash is repaired
+        # at use sites, so a disagreement involving one is tolerated.
+        for a, b in clashes:
+            if isinstance(a, SortAtom) and isinstance(b, SortAtom):
+                raise TypeErasureMismatch(f"cannot reconcile {a} with {b} in {where}")
 
     def pin(actual: SemType, expected: SemType) -> None:
         # Positions the category translation types at t are not
         # refinable by sorts, so force them; e positions stay open.
         actual = holes.resolve(actual)
         if expected == T:
-            holes.unify(actual, T, where)
+            reject_sort_clashes(holes.unify(actual, T))
             return
         if isinstance(expected, Arrow) and isinstance(actual, Arrow):
             pin(actual.domain, expected.domain)
             pin(actual.codomain, expected.codomain)
 
-    if expected_erasure is not None:
-        pin(top_type, expected_erasure)
+    try:
+        term, top_type = build(_parse_raw_term(text), {})
+        if expected_erasure is not None:
+            pin(top_type, expected_erasure)
+    except UnificationError as exc:
+        raise TypeErasureMismatch(f"{exc} in {where}") from exc
 
-    def rewrite(t: Term) -> Term:
-        if isinstance(t, Const):
-            ty = holes.resolve(t.type)
-            if t.name in QUANTIFIERS:
-                # A quantifier whose sort never got forced stays at sort e.
-                remaining = type_vars(ty) - set(schema_vars)
-                if remaining:
-                    ty = subst_type(ty, {v: E for v in remaining})
-            return Const(t.name, ty)
-        if isinstance(t, Var):
-            return Var(t.name, holes.resolve(t.type))
-        if isinstance(t, PolyInst):
-            return t
-        if isinstance(t, App):
-            return App(rewrite(t.fn), rewrite(t.arg))
-        if isinstance(t, Abs):
-            return Abs(t.var, holes.resolve(t.var_type), rewrite(t.body))
-        raise TermNotationError(f"unknown node {t!r}", 0)
+    def ground(ty: SemType) -> SemType:
+        grounded = holes.ground(ty)
+        if ty not in quantifier_types:
+            return grounded
+        # A quantifier ranges over e unless its sort was forced.  A schema
+        # variable that reached it belongs to a polymorphic constant's own
+        # instantiation, so it does not count as forcing.
+        stray = type_vars(grounded) - set(schema_vars)
+        return subst_type(grounded, dict.fromkeys(stray, E))
 
-    term = rewrite(term)
+    term = map_types(term, ground)
+
     resolved_constants: dict[str, SemType] = {}
     for name, ty in new_constants.items():
         ty = holes.resolve(ty)
@@ -526,8 +469,7 @@ def _require(doc: Mapping, key: str, kind: type, where: str):
     return value
 
 
-def load_lexicon(document: str | Mapping, *,
-                 allow_global_coercions: bool = False) -> tuple[Lexicon, list[Diagnostic]]:
+def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
     """Validate and load a lexicon document (JSON text or parsed mapping).
 
     Returns the lexicon plus diagnostics; any error-severity problem is
@@ -641,16 +583,6 @@ def load_lexicon(document: str | Mapping, *,
         for cdoc in w.get("coercions", []):
             load_coercion(cdoc, word)
 
-    global_coercions: list[Coercion] = []
-    if "global_coercions" in doc:
-        if allow_global_coercions:
-            for cdoc in doc["global_coercions"]:
-                global_coercions.append(load_coercion(cdoc, ""))
-        else:
-            diagnostics.append(Diagnostic(
-                "warning", "global-coercions-ignored", "lexicon",
-                "global_coercions present but the fallback table is disabled"))
-
     coercion_types = dict(coercion_table)
 
     for w in word_docs:
@@ -710,8 +642,6 @@ def load_lexicon(document: str | Mapping, *,
         bases=sort_map,
         poly_constants=tuple(poly_list),
         entries=tuple(entries),
-        global_coercions=tuple(global_coercions),
-        constants=tuple(sorted(constant_table.items(), key=lambda kv: kv[0])),
     )
     return lexicon, diagnostics
 
@@ -740,10 +670,9 @@ def _sorts_in_type(ty: SemType) -> set[str]:
     return set()
 
 
-def load_lexicon_file(path: str, *, allow_global_coercions: bool = False
-                      ) -> tuple[Lexicon, list[Diagnostic]]:
+def load_lexicon_file(path: str) -> tuple[Lexicon, list[Diagnostic]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_lexicon(fh.read(), allow_global_coercions=allow_global_coercions)
+        return load_lexicon(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +681,6 @@ def load_lexicon_file(path: str, *, allow_global_coercions: bool = False
 
 def lexicon_to_document(lexicon: Lexicon) -> dict:
     """Inverse of load_lexicon: loading the result yields an equal lexicon."""
-
-    def coercion_doc(c: Coercion) -> dict:
-        return {"name": c.name, "source": c.source.name,
-                "target": c.target.name, "rigid": c.rigid}
-
     doc: dict = {
         "sorts": [s for s in lexicon.sorts if s not in ("e", "t")],
         "base_categories": [{"name": n, "sem_type": str(ty)}
@@ -778,17 +702,17 @@ def lexicon_to_document(lexicon: Lexicon) -> dict:
                 sdoc["quantifier"] = True
             wdoc["senses"].append(sdoc)
         if entry.coercions:
-            wdoc["coercions"] = [coercion_doc(c) for c in entry.coercions]
+            wdoc["coercions"] = [{"name": c.name, "source": c.source.name,
+                                  "target": c.target.name, "rigid": c.rigid}
+                                 for c in entry.coercions]
         doc["words"].append(wdoc)
-    if lexicon.global_coercions:
-        doc["global_coercions"] = [coercion_doc(c) for c in lexicon.global_coercions]
     return doc
 
 
 def phrase_coercions(lexicon: Lexicon, words: list[str] | tuple[str, ...]
                      ) -> tuple[Coercion, ...]:
     """Coercions available to a phrase: those owned by its words, each
-    tagged with its owner, plus the global table when one was loaded."""
+    tagged with its owner."""
     seen: list[str] = []
     out: list[Coercion] = []
     for w in words:
@@ -799,5 +723,4 @@ def phrase_coercions(lexicon: Lexicon, words: list[str] | tuple[str, ...]
         if entry is None:
             raise UnknownWord(w)
         out.extend(entry.coercions)
-    out.extend(lexicon.global_coercions)
     return tuple(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 
 class TermError(Exception):
@@ -74,16 +74,6 @@ class TypeVar(SemType):
 
 E = SortAtom("e")
 T = SortAtom("t")
-
-
-def fn_type(*types: SemType) -> SemType:
-    """Right-nested arrow over the given types: fn_type(a, b, c) = a -> (b -> c)."""
-    if not types:
-        raise ValueError("fn_type needs at least one type")
-    out = types[-1]
-    for t in reversed(types[:-1]):
-        out = Arrow(t, out)
-    return out
 
 
 def type_vars(ty: SemType) -> set[str]:
@@ -170,6 +160,95 @@ def poly_inst(name: str, schema: SemType, inst: Mapping[str, SemType] | None = N
     mapping = dict(inst or {})
     items = tuple(sorted((v, mapping.get(v, TypeVar(v))) for v in sorted(type_vars(schema))))
     return PolyInst(name, schema, items)
+
+
+# ---------------------------------------------------------------------------
+# type maps and hole unification
+
+
+def map_types(term: Term, f: Callable[[SemType], SemType]) -> Term:
+    """The term with `f` applied to every type it carries: variable,
+    constant and binder types, and polymorphic instantiations."""
+    if isinstance(term, Var):
+        return Var(term.name, f(term.type))
+    if isinstance(term, Const):
+        return Const(term.name, f(term.type))
+    if isinstance(term, PolyInst):
+        return term.with_inst({n: f(ty) for n, ty in term.inst})
+    if isinstance(term, Abs):
+        return Abs(term.var, f(term.var_type), map_types(term.body, f))
+    if isinstance(term, App):
+        return App(map_types(term.fn, f), map_types(term.arg, f))
+    raise TermError(f"unknown term node: {term!r}")
+
+
+class UnificationError(TermError):
+    """An atom against an arrow, or a hole bound to a type containing it."""
+
+
+def is_hole(ty: SemType) -> bool:
+    return isinstance(ty, TypeVar) and ty.name.startswith("_")
+
+
+class Unifier:
+    """Bindings of holes: type variables whose names start with `_`.
+
+    Schema variables of polymorphic constants are never bound; an atomic
+    disagreement involving one is returned like a clash of two sorts, and
+    the caller decides what it means.
+    """
+
+    def __init__(self) -> None:
+        self.binding: dict[str, SemType] = {}
+        self._counter = itertools.count()
+
+    def fresh(self) -> TypeVar:
+        return TypeVar(f"_h{next(self._counter)}")
+
+    def resolve(self, ty: SemType) -> SemType:
+        if isinstance(ty, TypeVar) and ty.name in self.binding:
+            return self.resolve(self.binding[ty.name])
+        if isinstance(ty, Arrow):
+            return Arrow(self.resolve(ty.domain), self.resolve(ty.codomain))
+        return ty
+
+    def ground(self, ty: SemType) -> SemType:
+        """Resolve, then send every hole still open to e."""
+        if isinstance(ty, TypeVar):
+            if ty.name in self.binding:
+                return self.ground(self.binding[ty.name])
+            return E if is_hole(ty) else ty
+        if isinstance(ty, Arrow):
+            return Arrow(self.ground(ty.domain), self.ground(ty.codomain))
+        return ty
+
+    def unify(self, a: SemType, b: SemType) -> list[tuple[SemType, SemType]]:
+        """Bind holes to make a and b equal; return the atom pairs that
+        still disagree, in walk order."""
+        a, b = self.resolve(a), self.resolve(b)
+        if a == b:
+            return []
+        if is_hole(b) and not is_hole(a):
+            a, b = b, a
+        if is_hole(a):
+            if a.name in type_vars(b):
+                raise UnificationError(f"circular binding of {a} to {b}")
+            self.binding[a.name] = b
+            return []
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            return self.unify(a.domain, b.domain) + self.unify(a.codomain, b.codomain)
+        if isinstance(a, Arrow) or isinstance(b, Arrow):
+            raise UnificationError(f"cannot reconcile {a} with {b}")
+        return [(a, b)]
+
+    def apply(self, fn_ty: SemType, arg_ty: SemType
+              ) -> tuple[SemType, list[tuple[SemType, SemType]]]:
+        """Result type of applying fn_ty to arg_ty, and the clashes left."""
+        fn_ty = self.resolve(fn_ty)
+        if isinstance(fn_ty, Arrow):
+            return fn_ty.codomain, self.unify(fn_ty.domain, arg_ty)
+        result = self.fresh()
+        return result, self.unify(fn_ty, Arrow(arg_ty, result))
 
 
 _fresh_counter = itertools.count()
@@ -414,38 +493,6 @@ def canonical_key(term: Term) -> str:
     return go(canonicalize(term))
 
 
-_SURFACE_BASES = ("x", "y", "z")
-
-
-def surface_names() -> Iterator[str]:
-    """Deterministic display names: x, y, z, x1, y1, z1, ..."""
-    round_no = 0
-    while True:
-        suffix = "" if round_no == 0 else str(round_no)
-        for base in _SURFACE_BASES:
-            yield base + suffix
-        round_no += 1
-
-
-def rename_surface(term: Term) -> Term:
-    """Rename binders to the surface scheme for display."""
-    names = surface_names()
-
-    def go(t: Term, env: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name), t.type)
-        if isinstance(t, (Const, PolyInst)):
-            return t
-        if isinstance(t, App):
-            return App(go(t.fn, env), go(t.arg, env))
-        if isinstance(t, Abs):
-            new = next(names)
-            return Abs(new, t.var_type, go(t.body, {**env, t.var: new}))
-        raise TermError(f"unknown term node: {t!r}")
-
-    return go(term, {})
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -483,11 +530,6 @@ def term_to_text(term: Term, annotate_constants: bool = True) -> str:
         raise TermError(f"unknown term node: {t!r}")
 
     return go(term)
-
-
-def pretty(term: Term) -> str:
-    """Human-oriented display with surface binder names and bare constants."""
-    return term_to_text(rename_surface(term), annotate_constants=False)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,21 @@ def test_error_outranks_everything():
     assert status == 3
 
 
+def test_failing_sentence_does_not_cost_the_batch():
+    # to_formula raises NonLogicalHead on a reading that applies "this"
+    # to a complex noun; that sentence alone becomes an ERROR record.
+    failing = "every representative of this company of a company saw a samples"
+    status, doc = run_json(failing, FLAGSHIP)
+    assert status == 3
+    records = doc["sentences"]
+    assert [r["sentence"] for r in records] == [failing, FLAGSHIP]
+    assert [r["outcome"] for r in records] == ["ERROR", "OK"]
+    assert records[0]["readings"] == [] and records[0]["error"]
+    assert records[1]["readings"][0]["formula_unicode"] == FLAGSHIP_UNICODE
+    schema = json.loads((DATA / "output_schema.json").read_text())
+    jsonschema.validate(doc, schema)
+
+
 def test_missing_lexicon_exits_three(tmp_path):
     status, document = run(RunConfig(lexicon_path=str(tmp_path / "nope.json"),
                                      sentences=(FLAGSHIP,)))

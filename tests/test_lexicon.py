@@ -4,9 +4,11 @@ import pytest
 
 from lambeksem import (
     Arrow,
+    Const,
     E,
     SortAtom,
     T,
+    TypeVar,
     UnknownWord,
     lexicon_to_document,
     load_lexicon,
@@ -189,6 +191,21 @@ def test_parse_term_pins_proposition_positions():
 def test_parse_term_underdetermined_constant_rejected():
     with pytest.raises(TypeErasureMismatch):
         parse_term("john", sorts=("e", "t"), expected_erasure=E)
+
+
+def test_parse_term_circular_type_rejected():
+    # f applied to itself would need a type t with t = t -> r.
+    with pytest.raises(TypeErasureMismatch, match="circular"):
+        parse_term("\\x:e. (f f)", sorts=("e", "t"))
+
+
+def test_parse_term_quantifier_over_polymorphic_predicate_ranges_over_e():
+    # The quantifier's sort meets idp's schema variable a, which belongs
+    # to idp's own instantiation; the quantifier itself stays at e.
+    idp = Arrow(Arrow(TypeVar("a"), T), Arrow(TypeVar("a"), T))
+    term, _ = parse_term("\\P:(e -> t). (forall (idp P))", sorts=("e", "t"),
+                         poly={"idp": idp}, expected_erasure=Arrow(ET, T))
+    assert term.body.fn == Const("forall", Arrow(ET, T))
 
 
 def test_parse_term_reserved_name_cannot_bind():

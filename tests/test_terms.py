@@ -22,7 +22,8 @@ from lambeksem import (
     substitute,
     type_of,
 )
-from lambeksem.terms import canonicalize, free_vars
+from lambeksem.terms import (PolyInst, TypeVar, UnificationError, Unifier, canonicalize,
+                             free_vars, is_hole, map_types, poly_inst)
 
 ET = Arrow(E, T)
 EET = Arrow(E, ET)
@@ -213,6 +214,85 @@ def test_classify_vacuous_binder_affine():
 def test_classify_mixed_unrestricted():
     term = lam("x", T, lam("y", T, app(AND, Var("x", T), Var("x", T))))
     assert classify_occurrences(term) == OccurrenceClass.UNRESTRICTED
+
+
+# ---------------------------------------------------------------------------
+# map_types and the hole unifier
+
+DOG = SortAtom("dog")
+
+
+def test_map_types_reaches_every_type_position():
+    term = app(poly_inst("pand", Arrow(TypeVar("a"), T)),
+               lam("x", E, app(Const("bark", ET), Var("x", E))))
+    # f sees whole types: the binder's and the variable's e, and bark's e -> t.
+    mapped = map_types(term, lambda ty: DOG if ty == E else ty)
+    assert mapped == app(poly_inst("pand", Arrow(TypeVar("a"), T)),
+                         lam("x", DOG, app(Const("bark", ET), Var("x", DOG))))
+    grounded = map_types(poly_inst("pand", Arrow(TypeVar("a"), T), {"a": DOG}),
+                         lambda ty: E)
+    assert isinstance(grounded, PolyInst) and grounded.inst_map == {"a": E}
+
+
+def test_unifier_ground_closes_holes_only():
+    u = Unifier()
+    hole = u.fresh()
+    assert is_hole(hole)
+    assert u.ground(Arrow(hole, TypeVar("a"))) == Arrow(E, TypeVar("a"))
+    assert u.unify(hole, DOG) == []
+    assert u.ground(Arrow(hole, T)) == Arrow(DOG, T)
+
+
+def test_unifier_returns_atom_clashes_and_rejects_cycles():
+    u = Unifier()
+    assert u.unify(Arrow(DOG, T), Arrow(E, T)) == [(DOG, E)]
+    assert u.unify(TypeVar("a"), DOG) == [(TypeVar("a"), DOG)]
+    with pytest.raises(UnificationError):
+        u.unify(TypeVar("_x"), Arrow(TypeVar("_x"), T))
+
+
+def test_unifier_apply_opens_a_result_hole():
+    u = Unifier()
+    fn = u.fresh()
+    result, clashes = u.apply(fn, DOG)
+    assert clashes == [] and is_hole(result)
+    assert u.resolve(fn) == Arrow(DOG, result)
+    assert u.apply(Arrow(E, T), DOG) == (T, [(E, DOG)])
+
+
+SORT_ATOMS = [E, T, DOG]
+unifier_types = st.recursive(
+    st.sampled_from(SORT_ATOMS + [TypeVar("_a"), TypeVar("_b"), TypeVar("_c"),
+                                  TypeVar("p"), TypeVar("q")]),
+    lambda inner: st.builds(Arrow, inner, inner), max_leaves=6)
+
+
+@given(unifier_types, unifier_types)
+@settings(max_examples=300, deadline=None)
+def test_property_unifier(a, b):
+    u = Unifier()
+    try:
+        clashes = u.unify(a, b)
+    except UnificationError:
+        clashes = None
+    assert all(is_hole(TypeVar(name)) for name in u.binding)
+    if clashes is None:
+        return
+    if not clashes:
+        assert u.resolve(a) == u.resolve(b)
+    for x, y in clashes:
+        assert x != y
+        assert not isinstance(x, Arrow) and not isinstance(y, Arrow)
+        assert not is_hole(x) and not is_hole(y)
+
+
+@given(st.sampled_from(SORT_ATOMS), unifier_types, unifier_types)
+@settings(max_examples=100, deadline=None)
+def test_property_unifier_sort_against_arrow_raises(sort, dom, cod):
+    with pytest.raises(UnificationError):
+        Unifier().unify(sort, Arrow(dom, cod))
+    with pytest.raises(UnificationError):
+        Unifier().unify(Arrow(dom, cod), sort)
 
 
 # ---------------------------------------------------------------------------
