@@ -15,7 +15,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .categories import CategorySyntaxError, UnknownAtom, category_to_text
+from .categories import (Category, CategorySyntaxError, UnknownAtom, category_to_text,
+                         parse_category, sem_type)
 from .composer import (ComposeOptions, CompositionError, Reading,
                        SentenceAnalysis, analyze)
 from .hol import (ASCII, UNICODE, NonLogicalHead, NotAProposition, formula_tree,
@@ -23,6 +24,7 @@ from .hol import (ASCII, UNICODE, NonLogicalHead, NotAProposition, formula_tree,
 from .lexicon import LexiconError, UnknownWord, load_lexicon_file
 from .metrics import grammar_stats, quantifier_count, reading_report
 from .prover import SearchLimitExceeded
+from .terms import T
 
 ERROR = "ERROR"
 
@@ -104,7 +106,8 @@ def _reading_record(reading: Reading) -> dict:
     }
 
 
-def _sentence_record(sentence: str, lexicon, config: RunConfig) -> tuple[dict, int]:
+def _sentence_record(sentence: str, lexicon, goal: Category,
+                     config: RunConfig) -> tuple[dict, int]:
     words = sentence.split()
     options = ComposeOptions(
         coercions_enabled=config.coercions_enabled,
@@ -114,10 +117,10 @@ def _sentence_record(sentence: str, lexicon, config: RunConfig) -> tuple[dict, i
     )
     record: dict = {"sentence": sentence}
     try:
-        result: SentenceAnalysis = analyze(words, lexicon, config.goal, options)
+        result: SentenceAnalysis = analyze(words, lexicon, goal, options)
         readings = [_reading_record(r) for r in result.readings]
-    except (UnknownWord, SearchLimitExceeded, CompositionError, CategorySyntaxError,
-            UnknownAtom, NonLogicalHead, NotAProposition) as exc:
+    except (UnknownWord, SearchLimitExceeded, CompositionError, NonLogicalHead,
+            NotAProposition) as exc:
         # A fault in one sentence becomes its record; the batch goes on.
         record.update(outcome=ERROR, readings=[], error=str(exc))
         return record, 3
@@ -139,10 +142,18 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 3, f"error: cannot read lexicon: {exc}\n"
     except (LexiconError, UnknownAtom, CategorySyntaxError) as exc:
         return 3, f"error: invalid lexicon {config.lexicon_path}: {exc}\n"
+    # The goal is the same for every sentence: a bad one is one error.
+    try:
+        goal = parse_category(config.goal, lexicon.bases)
+    except (CategorySyntaxError, UnknownAtom) as exc:
+        return 3, f"error: invalid goal {config.goal!r}: {exc}\n"
+    if sem_type(goal, lexicon.bases) != T:
+        return 3, (f"error: invalid goal {config.goal!r}: "
+                   "goal category must denote a proposition\n")
     records = []
     worst = 0
     for sentence in config.sentences:
-        record, status = _sentence_record(sentence, lexicon, config)
+        record, status = _sentence_record(sentence, lexicon, goal, config)
         records.append(record)
         if _EXIT_SEVERITY[status] > _EXIT_SEVERITY[worst]:
             worst = status

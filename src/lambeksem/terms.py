@@ -336,21 +336,28 @@ def _rename_bound(term: Abs) -> Abs:
 
 
 def _subst(term: Term, target: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution without type checking."""
-    if isinstance(term, Var):
-        return replacement if term.name == target else term
-    if isinstance(term, (Const, PolyInst)):
-        return term
-    if isinstance(term, App):
-        return App(_subst(term.fn, target, replacement),
-                   _subst(term.arg, target, replacement))
-    if isinstance(term, Abs):
-        if term.var == target:
-            return term
-        if term.var in free_vars(replacement) and target in free_vars(term.body):
-            term = _rename_bound(term)
-        return Abs(term.var, term.var_type, _subst(term.body, target, replacement))
-    raise TermError(f"unknown term node: {term!r}")
+    """Capture-avoiding substitution without type checking.  A subterm
+    in which nothing is replaced or renamed comes back as the same node."""
+    replacement_free = free_vars(replacement)
+
+    def go(t: Term) -> Term:
+        if isinstance(t, App):
+            fn, arg = go(t.fn), go(t.arg)
+            return t if fn is t.fn and arg is t.arg else App(fn, arg)
+        if isinstance(t, Var):
+            return replacement if t.name == target else t
+        if isinstance(t, (Const, PolyInst)):
+            return t
+        if isinstance(t, Abs):
+            if t.var == target:
+                return t
+            if t.var in replacement_free and target in free_vars(t.body):
+                t = _rename_bound(t)
+            body = go(t.body)
+            return t if body is t.body else Abs(t.var, t.var_type, body)
+        raise TermError(f"unknown term node: {t!r}")
+
+    return go(term)
 
 
 def substitute(term: Term, target: str, replacement: Term) -> Term:
@@ -382,47 +389,68 @@ BETA = "beta"
 BETA_ETA_LONG = "beta-eta-long"
 
 
-def _whnf(term: Term) -> Term:
+def _beta(term: Term) -> Term:
+    """Normal order: reduce to weak head normal form, then normalize the
+    body or the spine's arguments.  A normal term comes back as the same
+    node."""
     args: list[Term] = []
+    head = term
+    reduced = False
     while True:
-        if isinstance(term, App):
-            args.append(term.arg)
-            term = term.fn
-        elif isinstance(term, Abs) and args:
-            term = _subst(term.body, term.var, args.pop())
+        if isinstance(head, App):
+            args.append(head.arg)
+            head = head.fn
+        elif isinstance(head, Abs) and args:
+            head = _subst(head.body, head.var, args.pop())
+            reduced = True
         else:
             break
-    return apply_spine(term, list(reversed(args)))
+    if isinstance(head, Abs):
+        body = _beta(head.body)
+        return head if body is head.body else Abs(head.var, head.var_type, body)
+    if not args:
+        return head
+    args.reverse()
+    normal = [_beta(a) for a in args]
+    if not reduced and all(n is a for n, a in zip(normal, args)):
+        return term
+    return apply_spine(head, normal)
 
 
-def _beta(term: Term) -> Term:
-    term = _whnf(term)
-    if isinstance(term, Abs):
-        return Abs(term.var, term.var_type, _beta(term.body))
+def _eta_long(term: Term, ty: SemType) -> Term:
+    """Eta-expand a beta-normal term of type `ty`.  The arguments of a
+    spine take their types from the head's type."""
+    if isinstance(ty, Arrow):
+        if isinstance(term, Abs):
+            return Abs(term.var, term.var_type, _eta_long(term.body, ty.codomain))
+        v = fresh_name("_e")
+        return Abs(v, ty.domain, _eta_long(App(term, Var(v, ty.domain)), ty.codomain))
     head, args = spine(term)
     if not args:
         return head
-    return apply_spine(head, [_beta(a) for a in args])
-
-
-def _eta_long(term: Term) -> Term:
-    ty = type_of(term)
-    if isinstance(ty, Arrow):
-        if isinstance(term, Abs):
-            return Abs(term.var, term.var_type, _eta_long(term.body))
-        v = fresh_name("_e")
-        return Abs(v, ty.domain, _eta_long(App(term, Var(v, ty.domain))))
-    head, args = spine(term)
-    return apply_spine(head, [_eta_long(a) for a in args])
+    fn_ty = subst_type(head.schema, head.inst_map) if isinstance(head, PolyInst) else head.type
+    long = []
+    for a in args:
+        long.append(_eta_long(a, fn_ty.domain))
+        fn_ty = fn_ty.codomain
+    return apply_spine(head, long)
 
 
 def normalize(term: Term, mode: str = BETA) -> Term:
-    """Beta-normalize; with BETA_ETA_LONG, also fully eta-expand."""
+    """Beta-normalize; with BETA_ETA_LONG, also fully eta-expand.
+
+    BETA does not type-check.  BETA_ETA_LONG type-checks the beta-normal
+    term once, strictly, at its root (raising `TypeMismatch` on an
+    ill-typed application or a variable that disagrees with its binder),
+    and eta-expansion then passes each subterm's type down.  Expanding a
+    beta-normal term creates no redex (every new abstraction stands in
+    argument or body position), so no second beta pass follows.
+    """
     if mode not in (BETA, BETA_ETA_LONG):
         raise ValueError(f"unknown normalization mode: {mode}")
     out = _beta(term)
     if mode == BETA_ETA_LONG:
-        out = _beta(_eta_long(out))
+        out = _eta_long(out, type_of(out))
     return out
 
 

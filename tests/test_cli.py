@@ -144,6 +144,18 @@ def test_main_routes_errors_to_stderr(capsys):
     assert captured.err.startswith("error: cannot read lexicon")
 
 
+@pytest.mark.parametrize("goal", ["S/", "NP", "np"])
+def test_bad_goal_is_one_error_for_the_whole_batch(capsys, goal):
+    # Malformed, unknown atom, not a proposition: checked once, before
+    # any sentence, however many sentences follow.
+    assert main(["--lexicon", LEXICON, "--sentence", FLAGSHIP,
+                 "--sentence", "the dog barked", "--goal", goal]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid goal {goal!r}")
+    assert captured.err.count("\n") == 1
+
+
 def test_main_writes_report_to_stdout(capsys):
     assert main(["--lexicon", LEXICON, "--sentence", FLAGSHIP,
                  "--format", "json"]) == 0

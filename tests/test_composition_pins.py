@@ -1,11 +1,14 @@
-"""Pinned output of lexical substitution and lexicon serialization.
+"""Pinned output of lexical substitution, readings and lexicon serialization.
 
 `composition_pins.json` holds, for each listed sentence, the sha256 of
 `canonical_key(substitute_lexical(p, lexicon))` for every parse `p` in
-`enumerate_parses` order over the demo lexicon, and the sha256 of
-`lexicon_to_document` for the demo and scope lexicons.  A refactor of
-sort resolution must leave every digest unchanged.  A change that alters
-them on purpose regenerates the fixture with
+`enumerate_parses` order over the demo lexicon, the sha256 of
+`term_to_text(r.formula_term)` for every reading `r` of `analyze` (binder
+names included, with fresh names drawn from zero for each sentence), and
+the sha256 of `lexicon_to_document` for the demo and scope lexicons.  A
+refactor of sort resolution or normalization must leave every digest
+unchanged.  A change that alters them on purpose regenerates the fixture
+with
 
     PYTHONPATH=src python tests/test_composition_pins.py
 """
@@ -20,10 +23,11 @@ import pytest
 TESTS = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS))
 
-from lambeksem import (canonical_key, enumerate_parses, lexicon_to_document,  # noqa: E402
-                       load_lexicon, load_lexicon_file, substitute_lexical)
+from lambeksem import (analyze, canonical_key, enumerate_parses,  # noqa: E402
+                       lexicon_to_document, load_lexicon, load_lexicon_file,
+                       substitute_lexical, term_to_text)
 
-from conftest import DATA, SCOPE_DOCUMENT  # noqa: E402
+from conftest import DATA, SCOPE_DOCUMENT, fresh_names_from  # noqa: E402
 
 PINS_PATH = TESTS / "composition_pins.json"
 
@@ -58,6 +62,12 @@ def parse_digests(lexicon, sentence: str) -> list[str]:
             for p in enumerate_parses(lexicon, sentence.split(), "S")]
 
 
+def reading_digests(lexicon, sentence: str) -> list[str]:
+    with fresh_names_from(0):
+        readings = analyze(sentence.split(), lexicon).readings
+    return [_digest(term_to_text(r.formula_term)) for r in readings]
+
+
 def document_digest(lexicon) -> str:
     return _digest(json.dumps(lexicon_to_document(lexicon), sort_keys=True))
 
@@ -73,8 +83,11 @@ def generate() -> dict:
     return {
         "description": "sha256 of canonical_key(substitute_lexical(p)) per parse "
                        "of each sentence over data/demo_lexicon.json at goal S, "
+                       "of term_to_text(r.formula_term) per reading of analyze "
+                       "with fresh names from 0 per sentence, "
                        "and of json.dumps(lexicon_to_document(lex), sort_keys=True)",
-        "sentences": [{"sentence": s, "parses": parse_digests(lexicons["demo"], s)}
+        "sentences": [{"sentence": s, "parses": parse_digests(lexicons["demo"], s),
+                       "readings": reading_digests(lexicons["demo"], s)}
                       for s in pinned_sentences()],
         "documents": {name: document_digest(lex) for name, lex in lexicons.items()},
     }
@@ -91,6 +104,11 @@ def test_pins_cover_the_listed_sentences():
 @pytest.mark.parametrize("entry", PINS["sentences"], ids=lambda e: e["sentence"])
 def test_substitution_is_pinned(demo_lexicon, entry):
     assert parse_digests(demo_lexicon, entry["sentence"]) == entry["parses"]
+
+
+@pytest.mark.parametrize("entry", PINS["sentences"], ids=lambda e: e["sentence"])
+def test_reading_binder_names_are_pinned(demo_lexicon, entry):
+    assert reading_digests(demo_lexicon, entry["sentence"]) == entry["readings"]
 
 
 def test_documents_are_pinned(demo_lexicon, scope_lexicon):

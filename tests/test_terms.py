@@ -22,8 +22,12 @@ from lambeksem import (
     substitute,
     type_of,
 )
-from lambeksem.terms import (PolyInst, TypeVar, UnificationError, Unifier, canonicalize,
-                             free_vars, is_hole, map_types, poly_inst)
+from lambeksem import terms
+from lambeksem.terms import (PolyInst, TermError, TypeVar, UnificationError, Unifier,
+                             canonicalize, free_vars, is_hole, map_types, poly_inst)
+
+import termoracle
+from conftest import fresh_names_from
 
 ET = Arrow(E, T)
 EET = Arrow(E, ET)
@@ -155,9 +159,32 @@ def test_normalize_normal_form_is_fixed_point():
     assert normalize(term, BETA) == term
 
 
+def test_normalize_beta_returns_a_normal_term_itself():
+    term = reduced_flagship()
+    assert normalize(term, BETA) is term
+    assert substitute(term, "y", Var("z", E)) is term
+
+
 def test_normalize_eta_long_expands_first_order_argument():
     long = normalize(App(EXISTS, KID), BETA_ETA_LONG)
     assert alpha_eq(long, App(EXISTS, lam("x", E, App(KID, Var("x", E)))))
+
+
+@pytest.mark.parametrize("ill_typed", [
+    App(KID, CARTOON),
+    App(EXISTS, lam("x", E, App(KID, App(KID, Var("x", E))))),
+    lam("x", E, App(KID, Var("x", T))),
+    App(lam("P", ET, App(Var("P", ET), CARTOON)), KID),
+    # sorts disagree, erasures agree: only a strict check rejects it
+    App(Const("barked", Arrow(SortAtom("animal"), T)), Const("table", SortAtom("artifact"))),
+])
+def test_normalize_eta_long_type_checks_but_beta_does_not(ill_typed):
+    # BETA reduces whatever it is given; BETA_ETA_LONG checks the
+    # beta-normal term and rejects an ill-typed application or a variable
+    # that disagrees with its binder.
+    normalize(ill_typed, BETA)
+    with pytest.raises(TypeMismatch):
+        normalize(ill_typed, BETA_ETA_LONG)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +337,13 @@ small_types = st.recursive(
 )
 
 
+# Polymorphic heads: an identity and a constant combinator.
+IDP = Arrow(TypeVar("a"), TypeVar("a"))
+KP = Arrow(TypeVar("a"), Arrow(TypeVar("b"), TypeVar("a")))
+
+
 @st.composite
-def typed_term(draw, ty, env, depth):
+def typed_term(draw, ty, env, depth, names=VAR_POOL):
     fitting = sorted(name for name, t in env.items() if t == ty)
     options = ["const"]
     if fitting:
@@ -319,24 +351,74 @@ def typed_term(draw, ty, env, depth):
     if isinstance(ty, Arrow):
         options.append("abs")
     if depth > 0:
-        options.append("app")
+        options.extend(["app", "poly"])
     kind = draw(st.sampled_from(options))
     if kind == "var":
         return Var(draw(st.sampled_from(fitting)), ty)
     if kind == "const":
         return Const(f"c{draw(st.integers(0, 2))}_{abs(hash(str(ty))) % 97}", ty)
     if kind == "abs":
-        name = draw(st.sampled_from(VAR_POOL))
-        body = draw(typed_term(ty.codomain, {**env, name: ty.domain}, depth))
+        name = draw(st.sampled_from(names))
+        body = draw(typed_term(ty.codomain, {**env, name: ty.domain}, depth, names))
         return Abs(name, ty.domain, body)
+    if kind == "poly":
+        arg = draw(typed_term(ty, env, depth - 1, names))
+        if draw(st.booleans()):
+            return App(poly_inst("idp", IDP, {"a": ty}), arg)
+        other = draw(small_types)
+        dropped = draw(typed_term(other, env, depth - 1, names))
+        return app(poly_inst("k", KP, {"a": ty, "b": other}), arg, dropped)
     domain = draw(small_types)
-    fn = draw(typed_term(Arrow(domain, ty), env, depth - 1))
-    arg = draw(typed_term(domain, env, depth - 1))
+    fn = draw(typed_term(Arrow(domain, ty), env, depth - 1, names))
+    arg = draw(typed_term(domain, env, depth - 1, names))
     return App(fn, arg)
 
 
 closed_terms = small_types.flatmap(lambda ty: typed_term(ty, {}, 2))
 open_terms = small_types.flatmap(lambda ty: typed_term(ty, dict(FREE_ENV), 2))
+
+# Binders reuse the names of free variables, so substitutions must rename.
+CAPTURE_NAMES = ("x", "x1", "y")
+CAPTURE_ENV = {"x": E, "x1": ET, "y": T}
+
+
+@st.composite
+def forced_capture(draw):
+    """(\\v:D. \\u:U. k M v) (k N u): u is free in the argument and v
+    under the binder u, so reducing the redex must rename u."""
+    v, u = draw(st.permutations(CAPTURE_NAMES))[:2]
+    ty, d, dv = draw(small_types), draw(small_types), draw(small_types)
+    inner = {**CAPTURE_ENV, v: dv, u: d}
+    body = app(poly_inst("k", KP, {"a": ty, "b": dv}),
+               draw(typed_term(ty, inner, 1, CAPTURE_NAMES)), Var(v, dv))
+    arg = app(poly_inst("k", KP, {"a": dv, "b": d}),
+              draw(typed_term(dv, {**CAPTURE_ENV, u: d}, 1, CAPTURE_NAMES)), Var(u, d))
+    return App(Abs(v, dv, Abs(u, d, body)), arg)
+
+
+capture_prone_terms = forced_capture() | small_types.flatmap(
+    lambda ty: typed_term(ty, dict(CAPTURE_ENV), 2, CAPTURE_NAMES))
+
+
+def _from_counter(start, normalizer, term, mode):
+    """Normalize with the fresh-name counter at `start`; the result (or
+    the exception raised) and how far the counter advanced."""
+    with fresh_names_from(start):
+        try:
+            out = normalizer(term, mode)
+        except TermError as exc:
+            out = (type(exc), str(exc))
+        return out, int(terms.fresh_name("n")[1:]) - start
+
+
+@given(capture_prone_terms, st.integers(0, 3))
+@settings(max_examples=400, deadline=None)
+def test_property_normalize_matches_reference(term, start):
+    # A counter started this low also makes fresh binders such as x1
+    # collide with names the term already uses.
+    for mode in (BETA, BETA_ETA_LONG):
+        assert (_from_counter(start, normalize, term, mode)
+                == _from_counter(start, termoracle.normalize, term, mode))
 
 
 @given(open_terms)
