@@ -3,9 +3,10 @@
 Exit status: 0 when every sentence is OK, 1 when any sentence fails to
 parse, 2 when every failure is a sort failure (parse exists, no
 admissible coercion assignment), 3 on input errors, including unknown
-words and exhausted search budgets.  Worse outcomes win: 3 over 1 over
-2 over 0.  A sentence that raises an error gets an ERROR record of its
-own; the sentences after it are still analyzed.
+words, exhausted search budgets and input nested deeper than Python's
+recursion limit allows.  Worse outcomes win: 3 over 1 over 2 over 0.  A
+sentence that raises an error gets an ERROR record of its own; the
+sentences after it are still analyzed.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _sentence_record(sentence: str, lexicon, goal: Category,
         result: SentenceAnalysis = analyze(words, lexicon, goal, options)
         readings = [_reading_record(r) for r in result.readings]
     except (UnknownWord, SearchLimitExceeded, CompositionError, NonLogicalHead,
-            NotAProposition) as exc:
+            NotAProposition, RecursionError) as exc:
         # A fault in one sentence becomes its record; the batch goes on.
         record.update(outcome=ERROR, readings=[], error=str(exc))
         return record, 3
@@ -140,12 +141,12 @@ def run(config: RunConfig) -> tuple[int, str]:
         lexicon, _ = load_lexicon_file(config.lexicon_path)
     except FileNotFoundError as exc:
         return 3, f"error: cannot read lexicon: {exc}\n"
-    except (LexiconError, UnknownAtom, CategorySyntaxError) as exc:
+    except (LexiconError, UnknownAtom, CategorySyntaxError, RecursionError) as exc:
         return 3, f"error: invalid lexicon {config.lexicon_path}: {exc}\n"
     # The goal is the same for every sentence: a bad one is one error.
     try:
         goal = parse_category(config.goal, lexicon.bases)
-    except (CategorySyntaxError, UnknownAtom) as exc:
+    except (CategorySyntaxError, UnknownAtom, RecursionError) as exc:
         return 3, f"error: invalid goal {config.goal!r}: {exc}\n"
     if sem_type(goal, lexicon.bases) != T:
         return 3, (f"error: invalid goal {config.goal!r}: "

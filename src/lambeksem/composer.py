@@ -12,7 +12,11 @@ rigid coercion of a word blocks every other coercion that word provides.
 
 Mismatch sites are located on the unreduced substituted term, before
 beta reduction; readings are the beta-normal forms of the repaired
-terms, deduplicated by alpha-equality of their eta-long forms.
+terms.  Which readings coincide is decided here and nowhere else: every
+candidate from every parse gets one key, the canonical key of its
+eta-long form, and the first candidate with a new key is kept with its
+binders renamed canonically, so a reading does not depend on what was
+analyzed before it.
 """
 
 from __future__ import annotations
@@ -61,10 +65,12 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Reading:
-    """One meaning of a sentence: a closed beta-normal term of type t.
+    """One meaning of a sentence: a closed beta-normal term of type t,
+    its binders named b0, b1, ... in traversal order (`canonicalize`).
 
-    Alpha-equal readings arising from different parses or coercion
-    choices are collapsed; every contributing provenance is kept."""
+    Candidates whose eta-long forms are alpha-equal, from different
+    parses or coercion choices, are one reading; every contributing
+    provenance is kept, in parse order."""
     formula_term: Term
     provenances: tuple[Provenance, ...]
 
@@ -298,7 +304,11 @@ def compute_readings(words: list[str] | tuple[str, ...], lexicon: Lexicon,
 def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
             goal: Category | str = "S",
             options: ComposeOptions | None = None) -> SentenceAnalysis:
-    """Run the whole pipeline on one sentence and classify the outcome."""
+    """Run the whole pipeline on one sentence and classify the outcome.
+
+    Every parse and every repair of it is a candidate; candidates are
+    grouped by `canonical_key` of their eta-long normal form, computed
+    once each, and readings come out sorted by that key."""
     options = options or ComposeOptions()
     goal_cat = parse_category(goal, lexicon.bases) if isinstance(goal, str) else goal
     if sem_type(goal_cat, lexicon.bases) != T:
@@ -315,9 +325,9 @@ def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
                 raise CompositionError("reading is not closed")
             if type_of(formula_term, {}) != T:
                 raise CompositionError("reading is not of type t")
-            key = canonical_key(canonicalize(normalize(formula_term, BETA_ETA_LONG)))
+            key = canonical_key(normalize(formula_term, BETA_ETA_LONG))
             if key not in grouped:
-                grouped[key] = (formula_term, [])
+                grouped[key] = (canonicalize(formula_term), [])
             grouped[key][1].append(Provenance(parse, choices))
 
     readings = [Reading(term, tuple(provs))

@@ -130,97 +130,7 @@ class Lexicon:
 
 
 # ---------------------------------------------------------------------------
-# type notation
-
-
-def parse_sem_type(text: str, sorts: tuple[str, ...],
-                   tyvars: tuple[str, ...] = ()) -> SemType:
-    """Parse `e -> (dog -> t)` style type notation.
-
-    Names in `tyvars` become schema variables; every other name must be a
-    declared sort.
-    """
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif text.startswith("->", i):
-            tokens.append(("->", i))
-            i += 2
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-        else:
-            raise TermNotationError(f"unexpected character {c!r} in type", i)
-
-    pos = 0
-
-    def atom() -> SemType:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermNotationError("unexpected end of type", len(text))
-        tok, at = tokens[pos]
-        if tok == "(":
-            pos += 1
-            inner = arrow()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                raise TermNotationError("expected ')' in type", at)
-            pos += 1
-            return inner
-        if tok in ("->", ")"):
-            raise TermNotationError(f"unexpected token {tok!r} in type", at)
-        pos += 1
-        if tok in tyvars:
-            return TypeVar(tok)
-        if tok in sorts:
-            return SortAtom(tok)
-        raise SortUndeclared(f"sort not declared: {tok}")
-
-    def arrow() -> SemType:
-        nonlocal pos
-        left = atom()
-        if pos < len(tokens) and tokens[pos][0] == "->":
-            pos += 1
-            return Arrow(left, arrow())
-        return left
-
-    out = arrow()
-    if pos != len(tokens):
-        raise TermNotationError(f"trailing type input {tokens[pos][0]!r}", tokens[pos][1])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# term notation
-
-# Raw syntax tree produced by the parser, typed in a second pass.
-@dataclass(frozen=True)
-class _RawLam:
-    var: str
-    var_type_text: str
-    body: object
-    position: int
-
-
-@dataclass(frozen=True)
-class _RawApp:
-    fn: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class _RawName:
-    name: str
-    annotation: str | None
-    position: int
+# type and term notation
 
 
 def _tokenize_term(text: str) -> list[tuple[str, str, int]]:
@@ -247,89 +157,130 @@ def _tokenize_term(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _parse_raw_term(text: str) -> object:
-    tokens = _tokenize_term(text)
-    pos = 0
+class _Tokens:
+    """A cursor over the `_tokenize_term` tokens of `text`; errors point
+    at the source position of the token that is wrong."""
 
-    def peek(kind: str) -> bool:
-        return pos < len(tokens) and tokens[pos][0] == kind
+    def __init__(self, text: str):
+        self.text = text
+        self.items = _tokenize_term(text)
+        self.pos = 0
 
-    def take(kind: str, what: str) -> tuple[str, int]:
-        nonlocal pos
-        if not peek(kind):
-            at = tokens[pos][2] if pos < len(tokens) else len(text)
-            raise TermNotationError(f"expected {what}", at)
-        _, value, at = tokens[pos]
-        pos += 1
+    def peek(self, *kinds: str) -> bool:
+        return self.pos < len(self.items) and self.items[self.pos][0] in kinds
+
+    def at(self) -> int:
+        return self.items[self.pos][2] if self.pos < len(self.items) else len(self.text)
+
+    def take(self, kind: str, what: str) -> tuple[str, int]:
+        if not self.peek(kind):
+            raise TermNotationError(f"expected {what}", self.at())
+        _, value, at = self.items[self.pos]
+        self.pos += 1
         return value, at
 
-    def type_text() -> str:
-        # Either a bare name or a balanced parenthesized group, kept as text.
-        nonlocal pos
-        if peek("ident"):
-            value, _ = take("ident", "type")
-            return value
-        if peek("("):
-            start = tokens[pos][2]
-            depth = 0
-            pieces = []
-            while pos < len(tokens):
-                kind, value, _ = tokens[pos]
-                pieces.append(value)
-                pos += 1
-                if kind == "(":
-                    depth += 1
-                elif kind == ")":
-                    depth -= 1
-                    if depth == 0:
-                        return " ".join(pieces)
-            raise TermNotationError("unbalanced parentheses in type", start)
-        at = tokens[pos][2] if pos < len(tokens) else len(text)
-        raise TermNotationError("expected type", at)
+    def finish(self, what: str) -> None:
+        if self.pos != len(self.items):
+            raise TermNotationError(f"trailing {what} {self.items[self.pos][1]!r}",
+                                    self.at())
+
+
+def _type_operand(tokens: _Tokens, sorts: tuple[str, ...],
+                  tyvars: tuple[str, ...]) -> SemType:
+    """A name or a parenthesized type, as binders and annotations take."""
+    if tokens.peek("("):
+        tokens.take("(", "'('")
+        inner = _type(tokens, sorts, tyvars)
+        tokens.take(")", "')' in type")
+        return inner
+    name, _ = tokens.take("ident", "type")
+    if name in tyvars:
+        return TypeVar(name)
+    if name in sorts:
+        return SortAtom(name)
+    raise SortUndeclared(f"sort not declared: {name}")
+
+
+def _type(tokens: _Tokens, sorts: tuple[str, ...],
+          tyvars: tuple[str, ...]) -> SemType:
+    left = _type_operand(tokens, sorts, tyvars)
+    if tokens.peek("arrow"):
+        tokens.take("arrow", "'->'")
+        return Arrow(left, _type(tokens, sorts, tyvars))
+    return left
+
+
+def parse_sem_type(text: str, sorts: tuple[str, ...],
+                   tyvars: tuple[str, ...] = ()) -> SemType:
+    """Parse `e -> (dog -> t)` style type notation.
+
+    Names in `tyvars` become schema variables; every other name must be a
+    declared sort.
+    """
+    tokens = _Tokens(text)
+    out = _type(tokens, sorts, tyvars)
+    tokens.finish("type input")
+    return out
+
+
+# Raw syntax tree produced by the parser, typed in a second pass.
+@dataclass(frozen=True)
+class _RawLam:
+    var: str
+    var_type: SemType
+    body: object
+    position: int
+
+
+@dataclass(frozen=True)
+class _RawApp:
+    fn: object
+    arg: object
+
+
+@dataclass(frozen=True)
+class _RawName:
+    name: str
+    annotation: SemType | None
+    position: int
+
+
+def _parse_raw_term(text: str, sorts: tuple[str, ...],
+                    tyvars: tuple[str, ...]) -> object:
+    tokens = _Tokens(text)
 
     def term() -> object:
-        nonlocal pos
-        if peek("\\"):
-            _, at = take("\\", "lambda")
-            var, _ = take("ident", "binder name")
-            take(":", "':' after binder")
-            vt = type_text()
-            take(".", "'.' after binder type")
+        if tokens.peek("\\"):
+            _, at = tokens.take("\\", "lambda")
+            var, _ = tokens.take("ident", "binder name")
+            tokens.take(":", "':' after binder")
+            vt = _type_operand(tokens, sorts, tyvars)
+            tokens.take(".", "'.' after binder type")
             return _RawLam(var, vt, term(), at)
-        return application()
-
-    def application() -> object:
-        nonlocal pos
-        parts = [atom()]
-        while pos < len(tokens) and tokens[pos][0] in ("ident", "(", "\\"):
-            parts.append(atom())
-        out = parts[0]
-        for p in parts[1:]:
-            out = _RawApp(out, p)
+        out = atom()
+        while tokens.peek("ident", "(", "\\"):
+            out = _RawApp(out, atom())
         return out
 
     def atom() -> object:
-        nonlocal pos
-        if peek("ident"):
-            name, at = take("ident", "name")
+        if tokens.peek("ident"):
+            name, at = tokens.take("ident", "name")
             annotation = None
-            if peek(":"):
-                take(":", "':'")
-                annotation = type_text()
+            if tokens.peek(":"):
+                tokens.take(":", "':'")
+                annotation = _type_operand(tokens, sorts, tyvars)
             return _RawName(name, annotation, at)
-        if peek("("):
-            take("(", "'('")
+        if tokens.peek("("):
+            tokens.take("(", "'('")
             inner = term()
-            _, _ = take(")", "')'")
+            tokens.take(")", "')'")
             return inner
-        if peek("\\"):
+        if tokens.peek("\\"):
             return term()
-        at = tokens[pos][2] if pos < len(tokens) else len(text)
-        raise TermNotationError("expected a term", at)
+        raise TermNotationError("expected a term", tokens.at())
 
     out = term()
-    if pos != len(tokens):
-        raise TermNotationError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
+    tokens.finish("input")
     return out
 
 
@@ -362,7 +313,7 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
         if isinstance(raw, _RawLam):
             if raw.var in RESERVED:
                 raise TermNotationError(f"reserved name {raw.var!r} cannot bind", raw.position)
-            vt = parse_sem_type(raw.var_type_text, sorts, schema_vars)
+            vt = raw.var_type
             body, body_ty = build(raw.body, {**env, raw.var: vt})
             return Abs(raw.var, vt, body), Arrow(vt, body_ty)
         if isinstance(raw, _RawApp):
@@ -391,7 +342,7 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
                 ty = coercion_types[name]
                 return Const(name, ty), ty
             if raw.annotation is not None:
-                ty = parse_sem_type(raw.annotation, sorts, schema_vars)
+                ty = raw.annotation
                 prior = known.get(name) or new_constants.get(name)
                 if prior is not None and prior != ty:
                     raise TypeErasureMismatch(
@@ -427,7 +378,7 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
             pin(actual.codomain, expected.codomain)
 
     try:
-        term, top_type = build(_parse_raw_term(text), {})
+        term, top_type = build(_parse_raw_term(text, sorts, schema_vars), {})
         if expected_erasure is not None:
             pin(top_type, expected_erasure)
     except UnificationError as exc:
@@ -526,8 +477,8 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
             raise SchemaError(f"poly constant name {name!r} is reserved")
         schema_text = _require(p, "schema", str, f"poly constant {name}")
         var_names = tuple(sorted(
-            tok for tok in _type_tokens(schema_text)
-            if tok not in sorts_t and tok not in ("->", "(", ")")))
+            value for kind, value, _ in _tokenize_term(schema_text)
+            if kind == "ident" and value not in sorts_t))
         schema = parse_sem_type(schema_text, sorts_t, var_names)
         if not type_vars(schema):
             diagnostics.append(Diagnostic(
@@ -644,22 +595,6 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
         entries=tuple(entries),
     )
     return lexicon, diagnostics
-
-
-def _type_tokens(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            i += 1
-    return out
 
 
 def _sorts_in_type(ty: SemType) -> set[str]:

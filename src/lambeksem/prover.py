@@ -41,8 +41,9 @@ from typing import NamedTuple
 from .categories import (Atom, Category, SortMap, Under, DEFAULT_SORT_MAP,
                          parse_category, sem_type)
 from .lexicon import UnknownWord
-from .terms import (BETA_ETA_LONG, Abs, App, Term, Var, canonical_key,
-                    normalize)
+from .terms import Abs, App, Term, Var
+# Unused here; bench/tracing.py patches them by name (ROADMAP item 1).
+from .terms import canonical_key, normalize  # noqa: F401
 
 AXIOM = "AXIOM"
 UNDER_E = "UNDER_E"
@@ -285,9 +286,12 @@ class Parse:
 def enumerate_parses(lexicon, words: list[str] | tuple[str, ...],
                      goal: Category | str = "S",
                      options: ProveOptions | None = None) -> list[Parse]:
-    """All parses of the word sequence: every sense assignment crossed
-    with every derivation of the resulting category sequence.  The
-    assignments share one search table, and so one budget."""
+    """All parses of the word sequence: every sense assignment, in
+    product order, crossed with every derivation of its category
+    sequence.  Two assignments may share a derivational term and still
+    mean different things, so none is dropped here; the composer decides
+    which readings coincide.  The assignments share one search table,
+    and so one budget."""
     options = options or ProveOptions()
     goal_cat = parse_category(goal, lexicon.bases) if isinstance(goal, str) else goal
     entries = []
@@ -297,17 +301,10 @@ def enumerate_parses(lexicon, words: list[str] | tuple[str, ...],
             raise UnknownWord(w)
         entries.append(e)
     out: list[Parse] = []
-    seen: set[str] = set()
     table = _Table(options)
     for combo in itertools.product(*[range(len(e.senses)) for e in entries]):
         cats = tuple(entries[i].senses[s].category for i, s in enumerate(combo))
-        for proof in prove(cats, goal_cat, options, _table=table):
-            term = extract_term(proof, lexicon.bases)
-            # Assignments can collide on the same derivational term;
-            # the first one in sense order wins.
-            key = canonical_key(normalize(term, BETA_ETA_LONG))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Parse(tuple(words), combo, cats, proof, term))
+        out.extend(Parse(tuple(words), combo, cats, proof,
+                         extract_term(proof, lexicon.bases))
+                   for proof in prove(cats, goal_cat, options, _table=table))
     return out

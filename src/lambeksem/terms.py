@@ -2,8 +2,11 @@
 
 Terms are immutable trees.  Every variable and constant carries its type
 inline, so a term can be typed without an external signature.  All
-operations are pure; fresh names come from a module counter, which keeps
-runs deterministic for a fixed sequence of calls.
+operations are pure except for naming: the binders that substitution
+renames and eta-expansion adds take fresh names from one module counter,
+so those names depend on every call made before.  Readings do not carry
+them: the composer stores each reading `canonicalize`d, its binders
+named b0, b1, ... in traversal order.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
-import contextlib
 import copy
-import itertools
 import json
 import pathlib
 import sys
 
 import pytest
 
-from lambeksem import load_lexicon, load_lexicon_file, terms
+from lambeksem import load_lexicon, load_lexicon_file
 
 TESTS = pathlib.Path(__file__).resolve().parent
 DATA = TESTS.parent / "data"
@@ -61,18 +59,6 @@ SCOPE_DOCUMENT = {
         },
     ],
 }
-
-
-@contextlib.contextmanager
-def fresh_names_from(start: int):
-    """Draw fresh names from `start` inside the block, so that binder
-    names do not depend on what ran before it."""
-    saved = terms._fresh_counter
-    terms._fresh_counter = itertools.count(start)
-    try:
-        yield
-    finally:
-        terms._fresh_counter = saved
 
 
 def scope_document() -> dict:

@@ -3,8 +3,10 @@ import pathlib
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lambeksem.cli import RunConfig, build_arg_parser, config_from_args, main, run
+from lambeksem.cli import (_EXIT_SEVERITY, RunConfig, build_arg_parser,
+                           config_from_args, main, run)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 LEXICON = str(DATA / "demo_lexicon.json")
@@ -100,6 +102,50 @@ def test_non_propositional_goal_rejected():
     status, document = run(config(FLAGSHIP, goal="np"))
     assert status == 3
     assert "goal category must denote a proposition" in document
+
+
+# Three thousand levels of parentheses exhaust Python's recursion limit
+# in every recursive-descent parser of the package.
+DEEP = 3000
+TOO_DEEP = "maximum recursion depth exceeded"
+
+
+def lexicon_with(tmp_path, word: str, term: str) -> str:
+    doc = json.loads((DATA / "demo_lexicon.json").read_text())
+    entry = next(w for w in doc["words"] if w["word"] == word)
+    entry["senses"][0]["term"] = term
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_deeply_nested_lexicon_term_is_an_invalid_lexicon(tmp_path):
+    path = lexicon_with(tmp_path, "dog", "(" * DEEP + "\\x:dog. (dog x)" + ")" * DEEP)
+    status, document = run(RunConfig(lexicon_path=path,
+                                     sentences=("the dog barked",)))
+    assert status == 3
+    assert document.startswith(f"error: invalid lexicon {path}: {TOO_DEEP}")
+
+
+def test_deeply_nested_goal_is_an_invalid_goal():
+    goal = "(" * DEEP + "S" + ")" * DEEP
+    status, document = run(config("the dog barked", goal=goal))
+    assert status == 3
+    assert document.startswith(f"error: invalid goal {goal!r}: {TOO_DEEP}")
+
+
+def test_recursion_in_one_sentence_is_its_error_record(tmp_path):
+    # The term is about 70 levels deep and loads; its normal form stacks
+    # 70 * 70 nots, which exhausts the recursion limit inside analyze.
+    seventy = "(\\g:(t -> t). \\p:t. " + "(g " * 70 + "p" + ")" * 70 + ")"
+    path = lexicon_with(tmp_path, "barked",
+                        f"\\x:dog. ({seventy} ({seventy} not) (bark x))")
+    status, document = run(RunConfig(lexicon_path=path, output_format="json",
+                                     sentences=("the dog barked", FLAGSHIP)))
+    doc = json.loads(document)
+    assert status == 3
+    assert [r["outcome"] for r in doc["sentences"]] == ["ERROR", "OK"]
+    assert doc["sentences"][0]["error"].startswith(TOO_DEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +293,33 @@ def test_json_document_ends_with_newline():
     assert document.endswith("\n")
     assert document == json.dumps(json.loads(document), ensure_ascii=False,
                                   indent=2, sort_keys=True) + "\n"
+
+
+VOCABULARY = [w["word"] for w in json.loads(
+    (DATA / "demo_lexicon.json").read_text())["words"]] + ["gnu"]
+SCHEMA = json.loads((DATA / "output_schema.json").read_text())
+STATUS = {"OK": 0, "NO_PARSE": 1, "PARSE_BUT_NO_SORTING": 2, "ERROR": 3}
+
+
+# Most random strings do not parse, so golden sentences are mixed in to
+# put OK, sort-failure and rendering-error records in the batches too.
+RANDOM_SENTENCES = st.lists(st.sampled_from(VOCABULARY), min_size=1,
+                            max_size=6).map(" ".join)
+
+
+@given(st.lists(RANDOM_SENTENCES | st.sampled_from(corpus_sentences()),
+                min_size=1, max_size=3),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_property_random_sentences_get_valid_records(sentences, stats):
+    status, document = run(config(*sentences, stats_enabled=stats))
+    doc = json.loads(document)
+    jsonschema.validate(doc, SCHEMA)
+    assert [r["sentence"] for r in doc["sentences"]] == sentences
+    worst = max((STATUS[r["outcome"]] for r in doc["sentences"]),
+                key=_EXIT_SEVERITY.__getitem__)
+    assert status == worst
+    # A sentence's record does not depend on the sentences around it.
+    for sentence, record in zip(sentences, doc["sentences"]):
+        _, alone = run(config(sentence, stats_enabled=stats))
+        assert json.loads(alone)["sentences"] == [record]

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambeksem import (
     App,
@@ -33,7 +34,9 @@ from lambeksem import (
     to_formula,
     type_of,
 )
-from lambeksem.terms import free_vars
+from lambeksem.terms import free_vars, term_to_text
+
+from conftest import DATA
 
 from test_terms import reduced_flagship, unreduced_flagship
 
@@ -320,3 +323,76 @@ def test_rendered_formula_matches_corpus(demo_lexicon, corpus):
     readings = compute_readings(FLAGSHIP_WORDS, demo_lexicon, "S")
     got = [render(to_formula(r.formula_term), UNICODE) for r in readings]
     assert got == [r["formula_unicode"] for r in entry["readings"]]
+
+
+# ---------------------------------------------------------------------------
+# reading identity
+
+# In this lexicon n and adj both denote e -> t, so "is" at (np\S)/adj
+# with "red" at adj, and "is" at (np\S)/n with "red" at n, are two sense
+# assignments with one derivational term and two meanings.
+COPULA = "\\P:(e -> t). \\x:e. (P x)"
+RED_POOL = {
+    "john": [("np", "john:e")],
+    "is": [("(np \\ S) / adj", COPULA), ("(np \\ S) / n", COPULA),
+           ("(np \\ S) / np", "\\y:e. \\x:e. ((same y) x)")],
+    "red": [("adj", "\\x:e. (red_adj x)"), ("n", "\\x:e. (red_noun x)"),
+            ("np", "red_np:e")],
+}
+JOHN_IS_RED = "john is red".split()
+
+
+def red_lexicon(senses):
+    doc = {"sorts": [], "poly_constants": [],
+           "base_categories": [{"name": "adj", "sem_type": "e -> t"}],
+           "words": [{"word": w, "senses": [{"category": c, "term": t}
+                                            for c, t in pairs]}
+                     for w, pairs in senses.items()]}
+    return load_lexicon(json.dumps(doc))[0]
+
+
+def test_one_derivational_term_two_readings():
+    lexicon = red_lexicon({w: pool[:2] for w, pool in RED_POOL.items()})
+    analysis = analyze(JOHN_IS_RED, lexicon)
+    assert analysis.parse_count == 2
+    assert [term_to_text(r.formula_term, annotate_constants=False)
+            for r in analysis.readings] == ["(red_adj john)", "(red_noun john)"]
+
+
+@st.composite
+def sense_insertions(draw):
+    """Sense lists for "john is red" drawn from RED_POOL, a word of the
+    sentence, a pool sense that word lacks, and where to insert it."""
+    word = draw(st.sampled_from(["is", "red"]))
+    senses = {"john": RED_POOL["john"]}
+    for w in ("is", "red"):
+        pool = draw(st.permutations(RED_POOL[w]))
+        senses[w] = pool[:draw(st.integers(1, len(pool) - (w == word)))]
+    extra = draw(st.sampled_from([s for s in RED_POOL[word]
+                                  if s not in senses[word]]))
+    return senses, word, extra, draw(st.integers(0, len(senses[word])))
+
+
+@given(sense_insertions())
+@settings(max_examples=150, deadline=None)
+def test_property_adding_a_sense_never_removes_a_reading(case):
+    senses, word, extra, position = case
+    before = reading_keys(compute_readings(JOHN_IS_RED, red_lexicon(senses)))
+    grown = {**senses, word: senses[word][:position] + [extra]
+             + senses[word][position:]}
+    after = reading_keys(compute_readings(JOHN_IS_RED, red_lexicon(grown)))
+    assert set(before) <= set(after)
+
+
+CORPUS_SENTENCES = [e["sentence"] for e in json.loads(
+    (DATA / "golden_corpus.json").read_text())["sentences"]]
+
+
+@given(st.sampled_from(CORPUS_SENTENCES), st.sampled_from(CORPUS_SENTENCES))
+@settings(max_examples=30, deadline=None)
+def test_property_readings_do_not_depend_on_history(demo_lexicon, sentence,
+                                                    between):
+    first = analyze(sentence.split(), demo_lexicon).readings
+    analyze(between.split(), demo_lexicon)
+    again = analyze(sentence.split(), demo_lexicon).readings
+    assert [r.formula_term for r in first] == [r.formula_term for r in again]

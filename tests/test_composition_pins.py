@@ -4,10 +4,10 @@
 `canonical_key(substitute_lexical(p, lexicon))` for every parse `p` in
 `enumerate_parses` order over the demo lexicon, the sha256 of
 `term_to_text(r.formula_term)` for every reading `r` of `analyze` (binder
-names included, with fresh names drawn from zero for each sentence), and
-the sha256 of `lexicon_to_document` for the demo and scope lexicons.  A
-refactor of sort resolution or normalization must leave every digest
-unchanged.  A change that alters them on purpose regenerates the fixture
+names included; they are canonical, so a reading's digest does not
+depend on what ran before it), and the sha256 of `lexicon_to_document`
+for the demo and scope lexicons.  A refactor of sort resolution or
+normalization must leave every digest unchanged.  A change that alters them on purpose regenerates the fixture
 with
 
     PYTHONPATH=src python tests/test_composition_pins.py
@@ -27,7 +27,7 @@ from lambeksem import (analyze, canonical_key, enumerate_parses,  # noqa: E402
                        lexicon_to_document, load_lexicon, load_lexicon_file,
                        substitute_lexical, term_to_text)
 
-from conftest import DATA, SCOPE_DOCUMENT, fresh_names_from  # noqa: E402
+from conftest import DATA, SCOPE_DOCUMENT  # noqa: E402
 
 PINS_PATH = TESTS / "composition_pins.json"
 
@@ -63,8 +63,7 @@ def parse_digests(lexicon, sentence: str) -> list[str]:
 
 
 def reading_digests(lexicon, sentence: str) -> list[str]:
-    with fresh_names_from(0):
-        readings = analyze(sentence.split(), lexicon).readings
+    readings = analyze(sentence.split(), lexicon).readings
     return [_digest(term_to_text(r.formula_term)) for r in readings]
 
 
@@ -84,7 +83,7 @@ def generate() -> dict:
         "description": "sha256 of canonical_key(substitute_lexical(p)) per parse "
                        "of each sentence over data/demo_lexicon.json at goal S, "
                        "of term_to_text(r.formula_term) per reading of analyze "
-                       "with fresh names from 0 per sentence, "
+                       "(canonical binder names b0, b1, ...), "
                        "and of json.dumps(lexicon_to_document(lex), sort_keys=True)",
         "sentences": [{"sentence": s, "parses": parse_digests(lexicons["demo"], s),
                        "readings": reading_digests(lexicons["demo"], s)}

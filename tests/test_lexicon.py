@@ -20,7 +20,9 @@ from lambeksem import (
 from lambeksem.lexicon import (
     SchemaError,
     SortUndeclared,
+    TermNotationError,
     TypeErasureMismatch,
+    parse_sem_type,
     parse_term,
 )
 from lambeksem.terms import erase_type
@@ -209,9 +211,41 @@ def test_parse_term_quantifier_over_polymorphic_predicate_ranges_over_e():
 
 
 def test_parse_term_reserved_name_cannot_bind():
-    from lambeksem.lexicon import TermNotationError
     with pytest.raises(TermNotationError):
         parse_term("\\forall:e. forall", sorts=("e", "t"))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("\\x:(dog -> ). (bark x)", 11),   # the ')' where a type belongs
+    ("\\x:(dog -> t t). x", 13),       # the second t, where ')' belongs
+])
+def test_type_errors_in_a_term_point_at_the_offending_token(text, position):
+    with pytest.raises(TermNotationError) as exc:
+        parse_term(text, sorts=("e", "t", "dog"))
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, error", [
+    # An annotation is parsed as a type wherever it stands, also on a
+    # reserved name whose type does not come from it.
+    ("\\P:(e -> t). (forall:(zzz -> t) P)", SortUndeclared),
+    ("\\P:(e -> t). (forall:((e -> t) ->) P)", TermNotationError),
+    ("\\x:e. (bark x:zzz)", SortUndeclared),
+    ("\\x:e. (bark x:e)", TermNotationError),
+])
+def test_every_annotation_is_a_well_formed_type(text, error):
+    with pytest.raises(error):
+        parse_term(text, sorts=("e", "t"))
+
+
+def test_parse_sem_type_reports_source_positions():
+    with pytest.raises(TermNotationError) as exc:
+        parse_sem_type("e -> (t", ("e", "t"))
+    assert exc.value.position == 7
+    with pytest.raises(TermNotationError) as exc:
+        parse_sem_type("e -> t t", ("e", "t"))
+    assert exc.value.position == 7
+    assert parse_sem_type("(e -> t) -> a", ("e", "t"), ("a",)) == Arrow(ET, TypeVar("a"))
 
 
 def test_quantifier_goal_category_must_exist(demo_lexicon):

@@ -189,9 +189,9 @@ def test_enumerate_unknown_word(scope_lexicon):
         enumerate_parses(scope_lexicon, ["every", "gnu"], "S")
 
 
-def test_enumerate_dedups_across_assignments(demo_lexicon):
+def test_enumerate_tries_every_assignment(demo_lexicon):
     # Both "a" senses are tried; only the relative-pronoun one derives,
-    # and its two scopings survive as distinct parses.
+    # and its two scopings are two parses.
     words = "every representative of a company saw most samples".split()
     parses = enumerate_parses(demo_lexicon, words, "S")
     assert len(parses) == 2

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,6 @@ from lambeksem.terms import (PolyInst, TermError, TypeVar, UnificationError, Uni
                              canonicalize, free_vars, is_hole, map_types, poly_inst)
 
 import termoracle
-from conftest import fresh_names_from
 
 ET = Arrow(E, T)
 EET = Arrow(E, ET)
@@ -403,12 +404,16 @@ capture_prone_terms = forced_capture() | small_types.flatmap(
 def _from_counter(start, normalizer, term, mode):
     """Normalize with the fresh-name counter at `start`; the result (or
     the exception raised) and how far the counter advanced."""
-    with fresh_names_from(start):
+    saved = terms._fresh_counter
+    terms._fresh_counter = itertools.count(start)
+    try:
         try:
             out = normalizer(term, mode)
         except TermError as exc:
             out = (type(exc), str(exc))
         return out, int(terms.fresh_name("n")[1:]) - start
+    finally:
+        terms._fresh_counter = saved
 
 
 @given(capture_prone_terms, st.integers(0, 3))
