@@ -10,6 +10,20 @@ genuinely clash; those become mismatch sites, to be repaired by wrapping
 the argument in a coercion constant.  Repairs respect rigidity: using a
 rigid coercion of a word blocks every other coercion that word provides.
 
+Substitution is one bottom-up pass over the parse's proof, and the
+parses of a sentence share it: their proofs come from one prover table,
+so they share proof nodes.  A word leaf is freshened and typed, an
+elimination is one `Unifier.apply` on its premises' types, and a
+discharged hypothesis gets a fresh hole for each e in its type.  A node
+is keyed by its proof node and the leaves it spans, which are word
+senses and discharged hypotheses, never positions, so a repeated word
+shares too.  A node is shared, its term grounded (every open hole sent
+to e) and its definitions unfolded, once neither its type nor the types
+of its discharged hypotheses have an open hole: nothing outside it can
+then bind a hole inside it.  Until then, as for a determiner whose noun
+has not fixed its sort, it is rebuilt with fresh holes for each use.
+The table lives for one `analyze` call.
+
 Mismatch sites are located on the unreduced substituted term, before
 beta reduction; readings are the beta-normal forms of the repaired
 terms.  Which readings coincide is decided here and nowhere else: every
@@ -26,11 +40,12 @@ from dataclasses import dataclass
 
 from .categories import Category, parse_category, sem_type
 from .lexicon import Coercion, Lexicon, phrase_coercions
-from .prover import Parse, ProveOptions, enumerate_parses
+from .prover import (AXIOM, OVER_I, UNDER_E, UNDER_I, Parse, Proof, ProveOptions,
+                     enumerate_parses)
 from .terms import (Abs, App, Arrow, BETA, BETA_ETA_LONG, Const, E, PolyInst,
                     SemType, SortAtom, T, Term, TypeVar, UnificationError,
                     Unifier, Var, canonical_key, canonicalize, free_vars,
-                    map_types, normalize, subst_type, type_of)
+                    is_hole, map_types, normalize, subst_type, type_of)
 
 
 class CompositionError(Exception):
@@ -115,36 +130,11 @@ class SentenceAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# hole resolution
-
-def _open(term: Term, mapping: dict[str, Term], holes: Unifier) -> Term:
-    """Replace every e inside a derivational binder annotation with a
-    fresh hole, consistently on the binder and its occurrences, and each
-    free word variable with its lexical term (closed, so no capture)."""
-
-    def open_type(ty: SemType) -> SemType:
-        if ty == E:
-            return holes.fresh()
-        if isinstance(ty, Arrow):
-            return Arrow(open_type(ty.domain), open_type(ty.codomain))
-        return ty
-
-    def walk(t: Term, env: dict[str, SemType]) -> Term:
-        if isinstance(t, Var):
-            return Var(t.name, env[t.name]) if t.name in env else mapping.get(t.name, t)
-        if isinstance(t, Abs):
-            opened = open_type(t.var_type)
-            return Abs(t.var, opened, walk(t.body, {**env, t.var: opened}))
-        if isinstance(t, App):
-            return App(walk(t.fn, env), walk(t.arg, env))
-        return t
-
-    return walk(term, {})
-
+# lexical substitution, shared across the parses of a sentence
 
 def _infer(term: Term, holes: Unifier) -> SemType:
-    """Type of the term, binding holes at every application; sort clashes
-    are left for `find_mismatches`."""
+    """Type of a lexical term, binding holes at every application inside
+    it; sort clashes are left for `find_mismatches`."""
     if isinstance(term, (Var, Const)):
         return term.type
     if isinstance(term, PolyInst):
@@ -154,55 +144,166 @@ def _infer(term: Term, holes: Unifier) -> SemType:
     return holes.apply(_infer(term.fn, holes), _infer(term.arg, holes))[0]
 
 
-def _unfold_definitions(term: Term, lexicon: Lexicon) -> Term:
-    if isinstance(term, PolyInst):
-        poly = lexicon.poly(term.name)
-        if poly is not None and poly.definition is not None:
-            inst = term.inst_map
-            body = map_types(poly.definition, lambda ty: subst_type(ty, inst))
-            return _unfold_definitions(body, lexicon)
+def _has_hole(ty: SemType) -> bool:
+    if isinstance(ty, Arrow):
+        return _has_hole(ty.domain) or _has_hole(ty.codomain)
+    return is_hole(ty)
+
+
+class _Substitutions:
+    """Substituted terms of proof nodes, shared by the parses of one
+    sentence (see the module docstring).
+
+    A node's key is its proof node and the leaves it spans, each a word
+    sense (an int standing for (word, sense index)) or a discharged
+    hypothesis (its binder's name).  `nodes` and `words` hold the shared
+    terms and `done` their ids, so that finishing a term stops at them.
+    `holes` and `slots` belong to the parse being built: its hole
+    bindings, and the type of each discharged hypothesis, which its
+    introduction reads."""
+
+    def __init__(self, lexicon: Lexicon):
+        self.lexicon = lexicon
+        self.leaf_ids: dict[tuple[str, int], int] = {}
+        self.senses: list[Term] = []
+        self.words: dict[int, tuple[SemType, Term]] = {}
+        # The proof node in each value keeps its id from being reused.
+        self.nodes: dict[tuple[int, tuple], tuple] = {}
+        self.binders: dict[int, tuple[Proof, str]] = {}
+        self.done: set[int] = set()
+        self.holes = Unifier()
+        self.slots: dict[str, SemType] = {}
+
+    def substitute(self, parse: Parse) -> Term:
+        env = tuple(self._leaf_id(word, idx)
+                    for word, idx in zip(parse.words, parse.sense_indices))
+        self.holes, self.slots = Unifier(), {}
+        try:
+            _, term = self._build(parse.proof, env)
+        except UnificationError as exc:
+            raise CompositionError(f"cannot compose: {exc}") from exc
+        return self._finish(term)
+
+    def _leaf_id(self, word: str, idx: int) -> int:
+        leaf = self.leaf_ids.get((word, idx))
+        if leaf is None:
+            entry = self.lexicon.entry(word)
+            if entry is None:
+                raise MissingSense(f"no entry for {word}")
+            if idx >= len(entry.senses):
+                raise MissingSense(f"{word} has no sense #{idx}")
+            leaf = self.leaf_ids[word, idx] = len(self.senses)
+            self.senses.append(entry.senses[idx].term)
+        return leaf
+
+    def _build(self, proof: Proof, env: tuple) -> tuple[SemType, Term]:
+        if proof.rule == AXIOM:
+            return self._leaf(proof, env[0])
+        key = (id(proof), env)
+        hit = self.nodes.get(key)
+        if hit is not None:
+            _, ty, term, slots = hit
+            self.slots.update(slots)
+            return ty, term
+        if proof.rule in (UNDER_I, OVER_I):
+            name = self._binder(proof)
+            inner = (name,) + env if proof.rule == UNDER_I else env + (name,)
+            body_ty, body = self._build(proof.premises[0], inner)
+            var_ty = self.slots.pop(name)
+            ty, term = Arrow(var_ty, body_ty), Abs(name, var_ty, body)
+        else:
+            if proof.rule == UNDER_E:
+                arg, fn = proof.premises
+                fn_env, arg_env = env[arg.width:], env[:arg.width]
+            else:
+                fn, arg = proof.premises
+                fn_env, arg_env = env[:fn.width], env[fn.width:]
+            fn_ty, fn_term = self._build(fn, fn_env)
+            arg_ty, arg_term = self._build(arg, arg_env)
+            ty, term = self.holes.apply(fn_ty, arg_ty)[0], App(fn_term, arg_term)
+        # Nothing outside the node can bind a hole inside it once its type
+        # and its discharged hypotheses' types have none left open.
+        hyps = tuple(s for s in env if isinstance(s, str))
+        resolved = [self.holes.resolve(t) for t in (ty, *map(self.slots.get, hyps))]
+        if not any(map(_has_hole, resolved)):
+            term = self._share(term)
+            self.nodes[key] = (proof, resolved[0], term, tuple(zip(hyps, resolved[1:])))
+        return ty, term
+
+    def _leaf(self, proof: Proof, leaf) -> tuple[SemType, Term]:
+        if isinstance(leaf, str):
+            ty = self._opened(sem_type(proof.goal, self.lexicon.bases))
+            self.slots[leaf] = ty
+            return ty, Var(leaf, ty)
+        hit = self.words.get(leaf)
+        if hit is not None:
+            return hit
+        # Senses are typed without schema variables, so the only type
+        # variables in one are the identity instantiations of its
+        # polymorphic constants; each occurrence gets its own holes.
+        term = map_types(self.senses[leaf], lambda ty: self.holes.fresh()
+                         if isinstance(ty, TypeVar) else ty)
+        ty = self.holes.resolve(_infer(term, self.holes))
+        if _has_hole(ty):
+            return ty, term
+        term = self._share(term)
+        self.words[leaf] = (ty, term)
+        return ty, term
+
+    def _opened(self, ty: SemType) -> SemType:
+        """A discharged hypothesis's type, every e in it a fresh hole."""
+        if ty == E:
+            return self.holes.fresh()
+        if isinstance(ty, Arrow):
+            return Arrow(self._opened(ty.domain), self._opened(ty.codomain))
+        return ty
+
+    def _binder(self, proof: Proof) -> str:
+        """One name per introduction node: two binders in scope at once
+        belong to different nodes, so they never share a name."""
+        found = self.binders.get(id(proof))
+        if found is None:
+            found = self.binders[id(proof)] = (proof, f"k{len(self.binders)}")
+        return found[1]
+
+    def _share(self, term: Term) -> Term:
+        term = self._finish(term)
+        self.done.add(id(term))
         return term
-    if isinstance(term, App):
-        return App(_unfold_definitions(term.fn, lexicon),
-                   _unfold_definitions(term.arg, lexicon))
-    if isinstance(term, Abs):
-        return Abs(term.var, term.var_type,
-                   _unfold_definitions(term.body, lexicon))
-    return term
+
+    def _finish(self, term: Term) -> Term:
+        """Ground every hole, an open one to e, and unfold definitions,
+        except inside shared terms, which are finished already."""
+        if id(term) in self.done:
+            return term
+        ground = self.holes.ground
+        if isinstance(term, App):
+            return App(self._finish(term.fn), self._finish(term.arg))
+        if isinstance(term, Abs):
+            return Abs(term.var, ground(term.var_type), self._finish(term.body))
+        if isinstance(term, Var):
+            return Var(term.name, ground(term.type))
+        if isinstance(term, Const):
+            return Const(term.name, ground(term.type))
+        inst = {n: ground(ty) for n, ty in term.inst}
+        poly = self.lexicon.poly(term.name)
+        if poly is None or poly.definition is None:
+            return term.with_inst(inst)
+        return self._finish(map_types(poly.definition,
+                                      lambda ty: subst_type(ty, inst)))
 
 
-def substitute_lexical(parse: Parse, lexicon: Lexicon) -> Term:
+def substitute_lexical(parse: Parse, lexicon: Lexicon, *,
+                       _table: _Substitutions | None = None) -> Term:
     """Plug each word's lexical term into the derivational term.
 
     The result is fully sorted (derivational binder holes filled by
     unification, polymorphic constants instantiated, definitions
     unfolded) but possibly ill-typed at sort-clashing application
-    sites, and still unreduced.
+    sites, and still unreduced.  `_table` lets `analyze` share one table
+    across a sentence's parses; it must have been made for `lexicon`.
     """
-    holes = Unifier()
-
-    def freshen(ty: SemType) -> SemType:
-        # Senses are typed without schema variables, so the only type
-        # variables in one are the identity instantiations of its
-        # polymorphic constants; each occurrence gets its own holes.
-        return holes.fresh() if isinstance(ty, TypeVar) else ty
-
-    mapping: dict[str, Term] = {}
-    for pos, word in enumerate(parse.words):
-        entry = lexicon.entry(word)
-        if entry is None:
-            raise MissingSense(f"no entry for {word}")
-        idx = parse.sense_indices[pos]
-        if idx >= len(entry.senses):
-            raise MissingSense(f"{word} has no sense #{idx}")
-        mapping[f"h{pos}"] = map_types(entry.senses[idx].term, freshen)
-
-    substituted = _open(parse.term, mapping, holes)
-    try:
-        _infer(substituted, holes)
-    except UnificationError as exc:
-        raise CompositionError(f"cannot compose: {exc}") from exc
-    return _unfold_definitions(map_types(substituted, holes.ground), lexicon)
+    return (_table or _Substitutions(lexicon)).substitute(parse)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +418,11 @@ def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
     available = phrase_coercions(lexicon, words) if options.coercions_enabled else ()
 
     grouped: dict[str, tuple[Term, list[Provenance]]] = {}
+    # One table per sentence; `substitute_lexical` is still called once
+    # per parse, through the module attribute.
+    table = _Substitutions(lexicon)
     for parse in parses:
-        substituted = substitute_lexical(parse, lexicon)
+        substituted = substitute_lexical(parse, lexicon, _table=table)
         for repaired, choices in resolve_coercions(substituted, available):
             formula_term = normalize(repaired, BETA)
             if free_vars(formula_term):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -34,9 +35,13 @@ from lambeksem import (
     to_formula,
     type_of,
 )
+from lambeksem import composer
+from lambeksem.cli import RunConfig, run
 from lambeksem.terms import free_vars, term_to_text
 
+import substoracle
 from conftest import DATA
+from test_composition_pins import pinned_sentences
 
 from test_terms import reduced_flagship, unreduced_flagship
 
@@ -97,6 +102,95 @@ def test_substitute_constant_senses_keep_derivational_shape():
     assert parse.term == App(Var("h1", Arrow(E, T)), Var("h0", E))
     substituted = substitute_lexical(parse, lexicon)
     assert substituted == App(Const("run", Arrow(E, T)), Const("john", E))
+
+
+def np_chains(max_m: int) -> list[str]:
+    """The noun-modifier chain shapes of the benchmark, up to m modifiers."""
+    out = []
+    for m in range(1, max_m + 1):
+        for dets in itertools.product(("the", "this", "a"), repeat=m):
+            for q in ("a", "most", "the", "this"):
+                out.append("every representative "
+                           + " ".join(f"of {d} company" for d in dets)
+                           + f" saw {q} samples")
+    return out
+
+
+def determiner_sentences() -> list[str]:
+    """Every `the/this N1 V the/this N2` of the demo lexicon."""
+    doc = json.loads((DATA / "demo_lexicon.json").read_text())
+    nouns = [w["word"] for w in doc["words"]
+             if any(s["category"] == "n" for s in w["senses"])]
+    return [f"{d1} {n1} {v} {d2} {n2}"
+            for d1, n1, v, d2, n2 in itertools.product(
+                ("the", "this"), nouns, ("watched", "saw", "borders", "attacked"),
+                ("the", "this"), nouns)]
+
+
+SUBSTITUTION_SENTENCES = list(dict.fromkeys(
+    pinned_sentences() + np_chains(3) + determiner_sentences()))
+
+
+@given(st.sampled_from(SUBSTITUTION_SENTENCES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_shared_substitution_matches_reference(demo_lexicon, sentence,
+                                                         data):
+    # One table serves the parses in an order hypothesis picks; each
+    # parse must still substitute as if it were alone.
+    parses = enumerate_parses(demo_lexicon, sentence.split(), "S")
+    order = data.draw(st.permutations(range(len(parses))))
+    table = composer._Substitutions(demo_lexicon)
+    for i in order:
+        shared = substitute_lexical(parses[i], demo_lexicon, _table=table)
+        alone = substoracle.substitute_lexical(parses[i], demo_lexicon)
+        assert canonical_key(shared) == canonical_key(alone)
+
+
+def test_determiners_get_their_sorts_from_their_own_nouns(demo_lexicon):
+    # Each "the" has its own sort hole: sharing one between the two
+    # would bind it to human and then clash with artifact.
+    words = "the kid watched the cartoon".split()
+    assert analyze(words, demo_lexicon).outcome == "OK"
+    status, document = run(RunConfig(lexicon_path=str(DATA / "demo_lexicon.json"),
+                                     sentences=(" ".join(words),)))
+    assert status == 0
+    readings = [line.strip() for line in document.splitlines()
+                if line.startswith("  1.") or line.startswith("  2.")]
+    assert readings == ["1. watched(the(kid),the(cartoon))"]
+
+
+def test_open_hypothesis_type_keeps_its_node_unshared():
+    # In "john likes k", with k the object quantifier's hypothesis, the
+    # node's type t is closed but k's sort is still a hole that only "a
+    # dog" fixes, above the node.  Grounding the node at once would
+    # instantiate like at e and leave a sort clash with dog.
+    doc = {
+        "sorts": ["dog"],
+        "base_categories": [{"name": "np", "sem_type": "e"},
+                            {"name": "n", "sem_type": "e -> t"},
+                            {"name": "S", "sem_type": "t"}],
+        "poly_constants": [{"name": "like", "schema": "a -> (e -> t)"}],
+        "words": [
+            {"word": "john", "senses": [{"category": "np", "term": "john:e"}]},
+            {"word": "likes",
+             "senses": [{"category": "(np \\ S) / np", "term": "like"}]},
+            {"word": "a", "senses": [{
+                "category": "((S / np) \\ S) / n",
+                "term": "\\P:(dog -> t). \\Q:(dog -> t). "
+                        "(exists (\\x:dog. ((and (P x)) (Q x))))",
+                "quantifier": True}]},
+            {"word": "dog",
+             "senses": [{"category": "n", "term": "\\x:dog. (dog x)"}]},
+        ],
+    }
+    lexicon, _ = load_lexicon(json.dumps(doc))
+    words = "john likes a dog".split()
+    parse, = enumerate_parses(lexicon, words, "S")
+    substituted = substitute_lexical(parse, lexicon)
+    assert canonical_key(substituted) == canonical_key(
+        substoracle.substitute_lexical(parse, lexicon))
+    assert "like[a=dog]" in term_to_text(substituted)
+    assert analyze(words, lexicon).outcome == "OK"
 
 
 # ---------------------------------------------------------------------------
