@@ -106,8 +106,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def parse_category(text: str, bases: SortMap | None = None) -> Category:
     """Parse fully parenthesized category notation.
 
-    Raises CategorySyntaxError with a position on malformed input, and
-    UnknownAtom when a base name is not declared.
+    Raises CategorySyntaxError with a position on malformed input,
+    including input nested too deep to parse, and UnknownAtom when a base
+    name is not declared.
     """
     bases = bases if bases is not None else DEFAULT_SORT_MAP
     tokens = _tokenize(text)
@@ -145,7 +146,12 @@ def parse_category(text: str, bases: SortMap | None = None) -> Category:
             return Under(left, right) if op == "\\" else Over(left, right)
         return left
 
-    out = binary()
+    try:
+        out = binary()
+    except RecursionError as exc:
+        # Nested deeper than the parser's recursion can follow.
+        at = tokens[pos][2] if pos < len(tokens) else len(text)
+        raise CategorySyntaxError(str(exc), at) from None
     if pos != len(tokens):
         raise CategorySyntaxError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
     return out

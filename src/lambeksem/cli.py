@@ -141,12 +141,12 @@ def run(config: RunConfig) -> tuple[int, str]:
         lexicon, _ = load_lexicon_file(config.lexicon_path)
     except FileNotFoundError as exc:
         return 3, f"error: cannot read lexicon: {exc}\n"
-    except (LexiconError, UnknownAtom, CategorySyntaxError, RecursionError) as exc:
+    except (LexiconError, UnknownAtom, CategorySyntaxError) as exc:
         return 3, f"error: invalid lexicon {config.lexicon_path}: {exc}\n"
     # The goal is the same for every sentence: a bad one is one error.
     try:
         goal = parse_category(config.goal, lexicon.bases)
-    except (CategorySyntaxError, UnknownAtom, RecursionError) as exc:
+    except (CategorySyntaxError, UnknownAtom) as exc:
         return 3, f"error: invalid goal {config.goal!r}: {exc}\n"
     if sem_type(goal, lexicon.bases) != T:
         return 3, (f"error: invalid goal {config.goal!r}: "

@@ -218,7 +218,10 @@ def parse_sem_type(text: str, sorts: tuple[str, ...],
     declared sort.
     """
     tokens = _Tokens(text)
-    out = _type(tokens, sorts, tyvars)
+    try:
+        out = _type(tokens, sorts, tyvars)
+    except RecursionError as exc:
+        raise TermNotationError(str(exc), tokens.at()) from None
     tokens.finish("type input")
     return out
 
@@ -279,7 +282,11 @@ def _parse_raw_term(text: str, sorts: tuple[str, ...],
             return term()
         raise TermNotationError("expected a term", tokens.at())
 
-    out = term()
+    try:
+        out = term()
+    except RecursionError as exc:
+        # Nested deeper than the parser's recursion can follow.
+        raise TermNotationError(str(exc), tokens.at()) from None
     tokens.finish("input")
     return out
 
@@ -377,13 +384,6 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
             pin(actual.domain, expected.domain)
             pin(actual.codomain, expected.codomain)
 
-    try:
-        term, top_type = build(_parse_raw_term(text, sorts, schema_vars), {})
-        if expected_erasure is not None:
-            pin(top_type, expected_erasure)
-    except UnificationError as exc:
-        raise TypeErasureMismatch(f"{exc} in {where}") from exc
-
     def ground(ty: SemType) -> SemType:
         grounded = holes.ground(ty)
         if ty not in quantifier_types:
@@ -394,7 +394,16 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
         stray = type_vars(grounded) - set(schema_vars)
         return subst_type(grounded, dict.fromkeys(stray, E))
 
-    term = map_types(term, ground)
+    try:
+        term, top_type = build(_parse_raw_term(text, sorts, schema_vars), {})
+        if expected_erasure is not None:
+            pin(top_type, expected_erasure)
+        term = map_types(term, ground)
+    except UnificationError as exc:
+        raise TypeErasureMismatch(f"{exc} in {where}") from exc
+    except RecursionError as exc:
+        # It parsed, but it nests too deep to type.
+        raise TermNotationError(str(exc), 0) from None
 
     resolved_constants: dict[str, SemType] = {}
     for name, ty in new_constants.items():
@@ -430,7 +439,7 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     else:
         doc = document

@@ -5,8 +5,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lambeksem.categories import CategorySyntaxError, parse_category
 from lambeksem.cli import (_EXIT_SEVERITY, RunConfig, build_arg_parser,
                            config_from_args, main, run)
+from lambeksem.lexicon import SchemaError, TermNotationError, load_lexicon
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 LEXICON = str(DATA / "demo_lexicon.json")
@@ -132,6 +134,45 @@ def test_deeply_nested_goal_is_an_invalid_goal():
     status, document = run(config("the dog barked", goal=goal))
     assert status == 3
     assert document.startswith(f"error: invalid goal {goal!r}: {TOO_DEEP}")
+
+
+def demo_document_with(word: str, **sense) -> str:
+    doc = json.loads((DATA / "demo_lexicon.json").read_text())
+    next(w for w in doc["words"] if w["word"] == word)["senses"][0].update(sense)
+    return json.dumps(doc)
+
+
+def test_deeply_nested_term_is_a_term_notation_error():
+    document = demo_document_with(
+        "dog", term="(" * DEEP + "\\x:dog. (dog x)" + ")" * DEEP)
+    with pytest.raises(TermNotationError) as caught:
+        load_lexicon(document)
+    assert str(caught.value).startswith(TOO_DEEP)
+
+
+def test_term_too_deep_to_type_is_a_term_notation_error():
+    # Six hundred binders parse, one frame each, but unifying the
+    # term's type with its category's recurses further.
+    document = demo_document_with("dog", term="\\x:dog. " * 600 + "(dog x)")
+    with pytest.raises(TermNotationError) as caught:
+        load_lexicon(document)
+    assert str(caught.value).startswith(TOO_DEEP)
+
+
+def test_deeply_nested_category_is_a_category_syntax_error():
+    with pytest.raises(CategorySyntaxError) as caught:
+        parse_category("(" * DEEP + "S" + ")" * DEEP)
+    assert str(caught.value).startswith(TOO_DEEP)
+    document = demo_document_with("dog", category="(" * DEEP + "n" + ")" * DEEP)
+    with pytest.raises(CategorySyntaxError) as caught:
+        load_lexicon(document)
+    assert str(caught.value).startswith(TOO_DEEP)
+
+
+def test_deeply_nested_json_is_invalid_json():
+    with pytest.raises(SchemaError) as caught:
+        load_lexicon("[" * 100_000 + "]" * 100_000)
+    assert str(caught.value).startswith(f"invalid JSON: {TOO_DEEP}")
 
 
 def test_recursion_in_one_sentence_is_its_error_record(tmp_path):
