@@ -144,12 +144,6 @@ def _infer(term: Term, holes: Unifier) -> SemType:
     return holes.apply(_infer(term.fn, holes), _infer(term.arg, holes))[0]
 
 
-def _has_hole(ty: SemType) -> bool:
-    if isinstance(ty, Arrow):
-        return _has_hole(ty.domain) or _has_hole(ty.codomain)
-    return is_hole(ty)
-
-
 class _Substitutions:
     """Substituted terms of proof nodes, shared by the parses of one
     sentence (see the module docstring).
@@ -223,11 +217,12 @@ class _Substitutions:
             ty, term = self.holes.apply(fn_ty, arg_ty)[0], App(fn_term, arg_term)
         # Nothing outside the node can bind a hole inside it once its type
         # and its discharged hypotheses' types have none left open.
-        hyps = tuple(s for s in env if isinstance(s, str))
-        resolved = [self.holes.resolve(t) for t in (ty, *map(self.slots.get, hyps))]
-        if not any(map(_has_hole, resolved)):
+        closed = self._closed(ty)
+        slots = tuple((s, self._closed(self.slots[s])) for s in env
+                      if isinstance(s, str))
+        if closed is not None and all(t is not None for _, t in slots):
             term = self._share(term)
-            self.nodes[key] = (proof, resolved[0], term, tuple(zip(hyps, resolved[1:])))
+            self.nodes[key] = (proof, closed, term, slots)
         return ty, term
 
     def _leaf(self, proof: Proof, leaf) -> tuple[SemType, Term]:
@@ -243,12 +238,27 @@ class _Substitutions:
         # polymorphic constants; each occurrence gets its own holes.
         term = map_types(self.senses[leaf], lambda ty: self.holes.fresh()
                          if isinstance(ty, TypeVar) else ty)
-        ty = self.holes.resolve(_infer(term, self.holes))
-        if _has_hole(ty):
+        ty = _infer(term, self.holes)
+        closed = self._closed(ty)
+        if closed is None:
             return ty, term
-        term = self._share(term)
-        self.words[leaf] = (ty, term)
-        return ty, term
+        hit = self.words[leaf] = (closed, self._share(term))
+        return hit
+
+    def _closed(self, ty: SemType) -> SemType | None:
+        """The type with its bound holes resolved, or None while it has
+        an open one."""
+        while isinstance(ty, TypeVar) and ty.name in self.holes.binding:
+            ty = self.holes.binding[ty.name]
+        if isinstance(ty, Arrow):
+            domain = self._closed(ty.domain)
+            codomain = None if domain is None else self._closed(ty.codomain)
+            if codomain is None:
+                return None
+            if domain is ty.domain and codomain is ty.codomain:
+                return ty
+            return Arrow(domain, codomain)
+        return None if is_hole(ty) else ty
 
     def _opened(self, ty: SemType) -> SemType:
         """A discharged hypothesis's type, every e in it a fresh hole."""
@@ -278,7 +288,8 @@ class _Substitutions:
             return term
         ground = self.holes.ground
         if isinstance(term, App):
-            return App(self._finish(term.fn), self._finish(term.arg))
+            fn, arg = self._finish(term.fn), self._finish(term.arg)
+            return term if fn is term.fn and arg is term.arg else App(fn, arg)
         if isinstance(term, Abs):
             return Abs(term.var, ground(term.var_type), self._finish(term.body))
         if isinstance(term, Var):
