@@ -282,11 +282,7 @@ def _parse_raw_term(text: str, sorts: tuple[str, ...],
             return term()
         raise TermNotationError("expected a term", tokens.at())
 
-    try:
-        out = term()
-    except RecursionError as exc:
-        # Nested deeper than the parser's recursion can follow.
-        raise TermNotationError(str(exc), tokens.at()) from None
+    out = term()
     tokens.finish("input")
     return out
 
@@ -402,7 +398,7 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
     except UnificationError as exc:
         raise TypeErasureMismatch(f"{exc} in {where}") from exc
     except RecursionError as exc:
-        # It parsed, but it nests too deep to type.
+        # Nested deeper than parsing or typing it can recurse.
         raise TermNotationError(str(exc), 0) from None
 
     resolved_constants: dict[str, SemType] = {}
