@@ -15,8 +15,7 @@ as `bench/spread.py` uses) and how many pairs the change won.  A claimed
 gain holds when the change wins at least nine pairs in ten (with at
 least ten pairs) and the medians differ, in the better direction, by
 more than the parent's interquartile range.  A metric whose values are
-all equal has no winner.  With --out, every run's result is also
-written to a JSON file.  The script edits nothing in either checkout
+all equal has no winner.  The script edits nothing in either checkout
 except what `bench/run.py` itself writes under `bench/out/`.
 """
 
@@ -80,7 +79,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", type=pathlib.Path, help="write every run's result here")
     args = ap.parse_args()
     if args.pairs <= 0:
         ap.error("--pairs must be positive")
@@ -121,10 +119,6 @@ def main() -> int:
         wrong = sum(not r["correct"] for r in runs[side])
         print(f"  {side}: {failed} of {attempted} items failed; "
               f"{wrong} runs not correct")
-    if args.out:
-        args.out.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
-                                        "pairs": args.pairs, "runs": runs},
-                                       indent=1) + "\n")
     return 0
 
 
