@@ -135,10 +135,8 @@ class SentenceAnalysis:
 def _infer(term: Term, holes: Unifier) -> SemType:
     """Type of a lexical term, binding holes at every application inside
     it; sort clashes are left for `find_mismatches`."""
-    if isinstance(term, (Var, Const)):
+    if isinstance(term, (Var, Const, PolyInst)):
         return term.type
-    if isinstance(term, PolyInst):
-        return subst_type(term.schema, term.inst_map)
     if isinstance(term, Abs):
         return Arrow(term.var_type, _infer(term.body, holes))
     return holes.apply(_infer(term.fn, holes), _infer(term.arg, holes))[0]
@@ -331,10 +329,8 @@ def find_mismatches(term: Term, available: tuple[Coercion, ...] = ()
              path: tuple[str, ...]) -> SemType:
         if isinstance(t, Var):
             return env.get(t.name, t.type)
-        if isinstance(t, Const):
+        if isinstance(t, (Const, PolyInst)):
             return t.type
-        if isinstance(t, PolyInst):
-            return subst_type(t.schema, t.inst_map)
         if isinstance(t, Abs):
             body = walk(t.body, {**env, t.var: t.var_type}, path + ("body",))
             return Arrow(t.var_type, body)

@@ -19,8 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .terms import (Abs, App, Arrow, Const, PolyInst, SemType, SortAtom, T,
-                    Term, Var, free_vars as term_free_vars, poly_inst, spine,
-                    subst_type, type_of)
+                    Term, Var, free_vars as term_free_vars, poly_inst, spine, type_of)
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -119,10 +118,8 @@ def _eta_contract(term: Term) -> Term:
 
 
 def _head_info(head: Term) -> tuple[str, SemType, SemType | None]:
-    if isinstance(head, Const):
-        return head.name, head.type, None
-    if isinstance(head, PolyInst):
-        return head.name, subst_type(head.schema, head.inst_map), head.schema
+    if isinstance(head, (Const, PolyInst)):
+        return head.name, head.type, head.schema if isinstance(head, PolyInst) else None
     raise NonLogicalHead(f"cannot render head {head!r}")
 
 

@@ -12,6 +12,10 @@ parentheses allowed.  Constants are written bare when their type is
 forced by the context, or annotated as `washington:city` when it is not.
 The names forall, exists, and, or, implies are reserved for the logical
 constants; quantifiers are sort-indexed families at (s -> t) -> t.
+
+One recursive descent over one token stream reads term and type
+notation.  A term is typed as it is parsed, so of several faults in a
+text the first in reading order is reported.
 """
 
 from __future__ import annotations
@@ -226,67 +230,6 @@ def parse_sem_type(text: str, sorts: tuple[str, ...],
     return out
 
 
-# Raw syntax tree produced by the parser, typed in a second pass.
-@dataclass(frozen=True)
-class _RawLam:
-    var: str
-    var_type: SemType
-    body: object
-    position: int
-
-
-@dataclass(frozen=True)
-class _RawApp:
-    fn: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class _RawName:
-    name: str
-    annotation: SemType | None
-    position: int
-
-
-def _parse_raw_term(text: str, sorts: tuple[str, ...],
-                    tyvars: tuple[str, ...]) -> object:
-    tokens = _Tokens(text)
-
-    def term() -> object:
-        if tokens.peek("\\"):
-            _, at = tokens.take("\\", "lambda")
-            var, _ = tokens.take("ident", "binder name")
-            tokens.take(":", "':' after binder")
-            vt = _type_operand(tokens, sorts, tyvars)
-            tokens.take(".", "'.' after binder type")
-            return _RawLam(var, vt, term(), at)
-        out = atom()
-        while tokens.peek("ident", "(", "\\"):
-            out = _RawApp(out, atom())
-        return out
-
-    def atom() -> object:
-        if tokens.peek("ident"):
-            name, at = tokens.take("ident", "name")
-            annotation = None
-            if tokens.peek(":"):
-                tokens.take(":", "':'")
-                annotation = _type_operand(tokens, sorts, tyvars)
-            return _RawName(name, annotation, at)
-        if tokens.peek("("):
-            tokens.take("(", "'('")
-            inner = term()
-            tokens.take(")", "')'")
-            return inner
-        if tokens.peek("\\"):
-            return term()
-        raise TermNotationError("expected a term", tokens.at())
-
-    out = term()
-    tokens.finish("input")
-    return out
-
-
 def parse_term(text: str, *, sorts: tuple[str, ...],
                poly: Mapping[str, SemType] | None = None,
                coercion_types: Mapping[str, SemType] | None = None,
@@ -311,55 +254,70 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
     holes = Unifier()
     new_constants: dict[str, SemType] = {}
     quantifier_types: set[SemType] = set()
+    tokens = _Tokens(text)
 
-    def build(raw: object, env: dict[str, SemType]) -> tuple[Term, SemType]:
-        if isinstance(raw, _RawLam):
-            if raw.var in RESERVED:
-                raise TermNotationError(f"reserved name {raw.var!r} cannot bind", raw.position)
-            vt = raw.var_type
-            body, body_ty = build(raw.body, {**env, raw.var: vt})
-            return Abs(raw.var, vt, body), Arrow(vt, body_ty)
-        if isinstance(raw, _RawApp):
-            fn, fn_ty = build(raw.fn, env)
-            arg, arg_ty = build(raw.arg, env)
-            result, clashes = holes.apply(fn_ty, arg_ty)
+    def term(env: dict[str, SemType]) -> tuple[Term, SemType]:
+        if tokens.peek("\\"):
+            _, at = tokens.take("\\", "lambda")
+            var, _ = tokens.take("ident", "binder name")
+            if var in RESERVED:
+                raise TermNotationError(f"reserved name {var!r} cannot bind", at)
+            tokens.take(":", "':' after binder")
+            vt = _type_operand(tokens, sorts, schema_vars)
+            tokens.take(".", "'.' after binder type")
+            body, body_ty = term({**env, var: vt})
+            return Abs(var, vt, body), Arrow(vt, body_ty)
+        out, ty = atom(env)
+        while tokens.peek("ident", "(", "\\"):
+            arg, arg_ty = atom(env)
+            ty, clashes = holes.apply(ty, arg_ty)
             reject_sort_clashes(clashes)
-            return App(fn, arg), result
-        if isinstance(raw, _RawName):
-            name = raw.name
-            if name in env:
-                if raw.annotation is not None:
-                    raise TermNotationError(f"bound variable {name!r} cannot be annotated",
-                                            raw.position)
-                return Var(name, env[name]), env[name]
-            if name in LOGICAL_CONNECTIVES:
-                return Const(name, CONNECTIVE_TYPE), CONNECTIVE_TYPE
-            if name in QUANTIFIERS:
-                ty = Arrow(Arrow(holes.fresh(), T), T)
-                quantifier_types.add(ty)
-                return Const(name, ty), ty
-            if name in poly:
-                node = poly_inst(name, poly[name])
-                return node, subst_type(poly[name], node.inst_map)
-            if name in coercion_types:
-                ty = coercion_types[name]
-                return Const(name, ty), ty
-            if raw.annotation is not None:
-                ty = raw.annotation
-                prior = known.get(name) or new_constants.get(name)
-                if prior is not None and prior != ty:
-                    raise TypeErasureMismatch(
-                        f"constant {name} annotated {ty} but already has type {prior}")
-                new_constants.setdefault(name, ty)
-                known.setdefault(name, ty)
-                return Const(name, ty), ty
-            if name in known:
-                return Const(name, known[name]), known[name]
-            hole = holes.fresh()
-            new_constants[name] = hole
-            known[name] = hole
-            return Const(name, hole), hole
-        raise TermNotationError(f"unparsed node {raw!r}", 0)
+            out = App(out, arg)
+        return out, ty
+
+    def atom(env: dict[str, SemType]) -> tuple[Term, SemType]:
+        if tokens.peek("("):
+            tokens.take("(", "'('")
+            inner = term(env)
+            tokens.take(")", "')'")
+            return inner
+        if tokens.peek("\\"):
+            return term(env)
+        name, at = tokens.take("ident", "a term")
+        annotation = None
+        if tokens.peek(":"):
+            tokens.take(":", "':'")
+            annotation = _type_operand(tokens, sorts, schema_vars)
+        if name in env:
+            if annotation is not None:
+                raise TermNotationError(f"bound variable {name!r} cannot be annotated", at)
+            return Var(name, env[name]), env[name]
+        if name in LOGICAL_CONNECTIVES:
+            return Const(name, CONNECTIVE_TYPE), CONNECTIVE_TYPE
+        if name in QUANTIFIERS:
+            ty = Arrow(Arrow(holes.fresh(), T), T)
+            quantifier_types.add(ty)
+            return Const(name, ty), ty
+        if name in poly:
+            node = poly_inst(name, poly[name])
+            return node, node.type
+        if name in coercion_types:
+            ty = coercion_types[name]
+            return Const(name, ty), ty
+        if annotation is not None:
+            prior = known.get(name) or new_constants.get(name)
+            if prior is not None and prior != annotation:
+                raise TypeErasureMismatch(
+                    f"constant {name} annotated {annotation} but already has type {prior}")
+            new_constants.setdefault(name, annotation)
+            known.setdefault(name, annotation)
+            return Const(name, annotation), annotation
+        if name in known:
+            return Const(name, known[name]), known[name]
+        hole = holes.fresh()
+        new_constants[name] = hole
+        known[name] = hole
+        return Const(name, hole), hole
 
     def reject_sort_clashes(clashes: list[tuple[SemType, SemType]]) -> None:
         # Schema variables are never bound: a definition may apply a
@@ -391,10 +349,11 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
         return subst_type(grounded, dict.fromkeys(stray, E))
 
     try:
-        term, top_type = build(_parse_raw_term(text, sorts, schema_vars), {})
+        out, top_type = term({})
+        tokens.finish("input")
         if expected_erasure is not None:
             pin(top_type, expected_erasure)
-        term = map_types(term, ground)
+        out = map_types(out, ground)
     except UnificationError as exc:
         raise TypeErasureMismatch(f"{exc} in {where}") from exc
     except RecursionError as exc:
@@ -409,7 +368,7 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
             raise TypeErasureMismatch(
                 f"type of constant {name} is underdetermined in {where}; annotate it as name:type")
         resolved_constants[name] = ty
-    return term, resolved_constants
+    return out, resolved_constants
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +376,18 @@ def parse_term(text: str, *, sorts: tuple[str, ...],
 
 
 def _require(doc: Mapping, key: str, kind: type, where: str):
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"expected a JSON object in {where}")
     if key not in doc:
         raise SchemaError(f"missing field {key!r} in {where}")
     value = doc[key]
     if not isinstance(value, kind):
         raise SchemaError(f"field {key!r} in {where} must be {kind.__name__}")
     return value
+
+
+def _optional(doc: Mapping, key: str, kind: type, where: str, default):
+    return _require(doc, key, kind, where) if key in doc else default
 
 
 def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
@@ -517,7 +482,7 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
         name = _require(cdoc, "name", str, f"coercion of {owner}")
         source = _require(cdoc, "source", str, f"coercion {name}")
         target = _require(cdoc, "target", str, f"coercion {name}")
-        rigid = bool(cdoc.get("rigid", False))
+        rigid = _optional(cdoc, "rigid", bool, f"coercion {name}", False)
         for s in (source, target):
             if s not in sorts_t:
                 raise SortUndeclared(f"coercion {name} uses undeclared sort {s}")
@@ -536,7 +501,7 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
     # them in a first pass.
     for w in word_docs:
         word = _require(w, "word", str, "words")
-        for cdoc in w.get("coercions", []):
+        for cdoc in _optional(w, "coercions", list, f"word {word}", []):
             load_coercion(cdoc, word)
 
     coercion_types = dict(coercion_table)
@@ -589,8 +554,10 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
                 diagnostics.append(Diagnostic(
                     "warning", "vacuous-binder", word,
                     f"lexical term is {klass.value}; a binder goes unused"))
-            senses.append(Sense(cat, term, bool(sdoc.get("quantifier", False))))
-        coercions = tuple(load_coercion(c, word) for c in w.get("coercions", []))
+            quantifier = _optional(sdoc, "quantifier", bool, f"word {word}", False)
+            senses.append(Sense(cat, term, quantifier))
+        coercions = tuple(load_coercion(c, word)
+                          for c in _optional(w, "coercions", list, f"word {word}", []))
         entries.append(LexEntry(word, tuple(senses), coercions))
 
     lexicon = Lexicon(

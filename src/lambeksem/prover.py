@@ -280,7 +280,6 @@ class Parse:
     sense_indices: tuple[int, ...]
     categories: tuple[Category, ...]
     proof: Proof
-    term: Term
 
 
 def enumerate_parses(lexicon, words: list[str] | tuple[str, ...],
@@ -304,7 +303,6 @@ def enumerate_parses(lexicon, words: list[str] | tuple[str, ...],
     table = _Table(options)
     for combo in itertools.product(*[range(len(e.senses)) for e in entries]):
         cats = tuple(entries[i].senses[s].category for i, s in enumerate(combo))
-        out.extend(Parse(tuple(words), combo, cats, proof,
-                         extract_term(proof, lexicon.bases))
+        out.extend(Parse(tuple(words), combo, cats, proof)
                    for proof in prove(cats, goal_cat, options, _table=table))
     return out

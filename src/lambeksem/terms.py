@@ -154,6 +154,11 @@ class PolyInst(Term):
     def inst_map(self) -> dict[str, SemType]:
         return dict(self.inst)
 
+    @property
+    def type(self) -> SemType:
+        """The schema under this occurrence's instantiation."""
+        return subst_type(self.schema, self.inst_map)
+
     def with_inst(self, mapping: Mapping[str, SemType]) -> "PolyInst":
         inst = tuple(sorted((v, mapping.get(v, t)) for v, t in self.inst))
         return PolyInst(self.name, self.schema, inst)
@@ -310,10 +315,8 @@ def type_of(term: Term, context: Mapping[str, SemType] | None = None,
             if expected != t.type:
                 raise TypeMismatch(f"variable {t.name}", expected, t.type)
             return t.type
-        if isinstance(t, Const):
+        if isinstance(t, (Const, PolyInst)):
             return t.type
-        if isinstance(t, PolyInst):
-            return subst_type(t.schema, t.inst_map)
         if isinstance(t, Abs):
             inner = dict(bound)
             inner[t.var] = t.var_type
@@ -431,7 +434,7 @@ def _eta_long(term: Term, ty: SemType) -> Term:
     head, args = spine(term)
     if not args:
         return head
-    fn_ty = subst_type(head.schema, head.inst_map) if isinstance(head, PolyInst) else head.type
+    fn_ty = head.type
     long = []
     for a in args:
         long.append(_eta_long(a, fn_ty.domain))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from lambeksem.composer import CompositionError, MissingSense
 from lambeksem.lexicon import Lexicon
-from lambeksem.prover import Parse
+from lambeksem.prover import Parse, extract_term
 from lambeksem.terms import (Abs, App, Arrow, Const, E, PolyInst, SemType, Term,
                              TypeVar, UnificationError, Unifier, Var, map_types,
                              subst_type)
@@ -98,7 +98,7 @@ def substitute_lexical(parse: Parse, lexicon: Lexicon) -> Term:
             raise MissingSense(f"{word} has no sense #{idx}")
         mapping[f"h{pos}"] = map_types(entry.senses[idx].term, freshen)
 
-    substituted = _open(parse.term, mapping, holes)
+    substituted = _open(extract_term(parse.proof, lexicon.bases), mapping, holes)
     try:
         _infer(substituted, holes)
     except UnificationError as exc:

@@ -129,6 +129,17 @@ def test_deeply_nested_lexicon_term_is_an_invalid_lexicon(tmp_path):
     assert document.startswith(f"error: invalid lexicon {path}: {TOO_DEEP}")
 
 
+def test_malformed_lexicon_is_an_invalid_lexicon(tmp_path):
+    doc = json.loads((DATA / "demo_lexicon.json").read_text())
+    doc["words"] = ["word"]
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(doc))
+    status, document = run(RunConfig(lexicon_path=str(path),
+                                     sentences=("the dog barked",)))
+    assert status == 3
+    assert document.startswith(f"error: invalid lexicon {path}: expected a JSON object")
+
+
 def test_deeply_nested_goal_is_an_invalid_goal():
     goal = "(" * DEEP + "S" + ")" * DEEP
     status, document = run(config("the dog barked", goal=goal))

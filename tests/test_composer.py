@@ -24,6 +24,7 @@ from lambeksem import (
     canonical_key,
     compute_readings,
     enumerate_parses,
+    extract_term,
     find_mismatches,
     lexicon_to_document,
     load_lexicon,
@@ -99,7 +100,7 @@ def test_substitute_constant_senses_keep_derivational_shape():
     }
     lexicon, _ = load_lexicon(json.dumps(doc))
     parse, = enumerate_parses(lexicon, ["john", "runs"], "S")
-    assert parse.term == App(Var("h1", Arrow(E, T)), Var("h0", E))
+    assert extract_term(parse.proof, lexicon.bases) == App(Var("h1", Arrow(E, T)), Var("h0", E))
     substituted = substitute_lexical(parse, lexicon)
     assert substituted == App(Const("run", Arrow(E, T)), Const("john", E))
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambeksem import (
     Arrow,
@@ -18,6 +19,7 @@ from lambeksem import (
     type_of,
 )
 from lambeksem.lexicon import (
+    LexiconError,
     SchemaError,
     SortUndeclared,
     TermNotationError,
@@ -27,6 +29,7 @@ from lambeksem.lexicon import (
 )
 from lambeksem.terms import erase_type
 
+import parseoracle
 from conftest import scope_document
 
 ET = Arrow(E, T)
@@ -102,6 +105,43 @@ def test_load_warns_on_vacuous_binder():
     _, diagnostics = load(doc)
     assert any(d.severity == "warning" and d.where == "allegedly"
                for d in diagnostics)
+
+
+def _with_coercion(doc, **fields):
+    doc["sorts"] = ["human"]
+    doc["words"][1]["coercions"] = [
+        {"name": "as_e", "source": "human", "target": "e", **fields}]
+
+
+MALFORMED = {
+    "rigid as string": lambda d: _with_coercion(d, rigid="false"),
+    "rigid as number": lambda d: _with_coercion(d, rigid=0),
+    "quantifier as string": lambda d: d["words"][0]["senses"][0].update(quantifier="false"),
+    "quantifier null": lambda d: d["words"][0]["senses"][0].update(quantifier=None),
+    "word as string": lambda d: d.update(words=["word"]),
+    "sense as string": lambda d: d["words"][0].update(senses=["category"]),
+    "coercion as string": lambda d: d["words"][0].update(coercions=["name"]),
+    "coercions null": lambda d: d["words"][0].update(coercions=None),
+    "base category as string": lambda d: d.update(base_categories=["name"]),
+    "poly constant as string": lambda d: d.update(poly_constants=["name"]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_load_rejects_malformed_fields(edit):
+    doc = scope_document()
+    edit(doc)
+    with pytest.raises(SchemaError):
+        load(doc)
+
+
+def test_load_reads_boolean_flags():
+    doc = scope_document()
+    _with_coercion(doc, rigid=False)
+    doc["words"][0]["senses"][0]["quantifier"] = False
+    lexicon, _ = load(doc)
+    assert not lexicon.entry("kid").coercions[0].rigid
+    assert not lexicon.entry("every").senses[0].quantifier
 
 
 def test_load_demo_lexicon_shape(demo_lexicon):
@@ -236,6 +276,66 @@ def test_type_errors_in_a_term_point_at_the_offending_token(text, position):
 def test_every_annotation_is_a_well_formed_type(text, error):
     with pytest.raises(error):
         parse_term(text, sorts=("e", "t"))
+
+
+SORTS = ("e", "t", "dog", "human")
+
+
+@pytest.mark.parametrize("text, error, message, two_pass_error", [
+    # A sort clash inside the parentheses comes before the trailing ')'.
+    ("(bark:(dog -> t) john:human) )", TypeErasureMismatch,
+     "cannot reconcile dog with human", TermNotationError),
+    # A reserved binder comes before its undeclared sort.
+    ("\\forall:zzz. x", TermNotationError, "reserved name", SortUndeclared),
+    # A sort clash comes before a later undeclared sort.
+    ("\\x:dog. (bark:(human -> t) x) y:zzz", TypeErasureMismatch,
+     "cannot reconcile human with dog", SortUndeclared),
+])
+def test_first_fault_in_reading_order_is_reported(text, error, message, two_pass_error):
+    with pytest.raises(error, match=message):
+        parse_term(text, sorts=SORTS)
+    with pytest.raises(two_pass_error):
+        parseoracle.parse_term(text, sorts=SORTS)
+
+
+TYPE_TEXTS = st.recursive(
+    st.sampled_from(("e", "t", "dog", "human", "a")),
+    lambda inner: st.builds("({} -> {})".format, inner, inner), max_leaves=3)
+NAME_TEXTS = st.builds(
+    lambda name, annotation: name if annotation is None else f"{name}:{annotation}",
+    st.sampled_from(("x", "y", "P", "john", "bark", "f", "c", "idp", "and", "forall")),
+    st.none() | TYPE_TEXTS)
+GRAMMAR_TEXTS = st.recursive(NAME_TEXTS, lambda inner: st.one_of(
+    st.builds("\\{}:{}. {}".format, st.sampled_from(("x", "y", "P", "exists")),
+              TYPE_TEXTS, inner),
+    st.builds("({} {})".format, inner, inner),
+    st.builds("{} {}".format, inner, inner)), max_leaves=6)
+TOKEN_TEXTS = st.lists(st.sampled_from(
+    ("\\", ".", "(", ")", ":", "->", "x", "P", "e", "t", "dog", "human", "bark",
+     "john", "c", "idp", "forall", "and", "%")), max_size=14).map(" ".join)
+
+
+def _parse_or_reject(parse, text, **context):
+    try:
+        return parse(text, **context)
+    except LexiconError:
+        return "rejected"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=GRAMMAR_TEXTS | TOKEN_TEXTS,
+       schema_vars=st.sampled_from(((), ("a",))),
+       expected=st.none() | st.sampled_from((E, T, ET, Arrow(ET, T),
+                                             Arrow(SortAtom("dog"), T))))
+def test_parse_term_agrees_with_the_two_pass_parser(text, schema_vars, expected):
+    # The one-pass parser accepts exactly the texts the two-pass one
+    # does, with an equal term and equal constant types.
+    context = dict(sorts=SORTS, schema_vars=schema_vars, expected_erasure=expected,
+                   poly={"idp": Arrow(Arrow(TypeVar("a"), T), Arrow(TypeVar("a"), T))},
+                   coercion_types={"c": Arrow(SortAtom("human"), SortAtom("dog"))},
+                   constant_types={"john": SortAtom("human")})
+    assert (_parse_or_reject(parse_term, text, **context)
+            == _parse_or_reject(parseoracle.parse_term, text, **context))
 
 
 def test_parse_sem_type_reports_source_positions():

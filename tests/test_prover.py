@@ -170,7 +170,7 @@ def test_enumerate_flagship_parses(scope_lexicon):
     words = "every kid watched a cartoon".split()
     parses = enumerate_parses(scope_lexicon, words, "S")
     assert len(parses) == 2
-    keys = {norm_key(p.term) for p in parses}
+    keys = {norm_key(extract_term(p.proof, scope_lexicon.bases)) for p in parses}
     assert keys == {norm_key(t) for t in flagship_expected_terms()}
 
 
@@ -181,7 +181,7 @@ def test_enumerate_rejects_fragment(scope_lexicon):
 def test_enumerate_single_noun_at_noun_goal(scope_lexicon):
     parses = enumerate_parses(scope_lexicon, ["kid"], "n")
     assert len(parses) == 1
-    assert parses[0].term == Var("h0", ET)
+    assert extract_term(parses[0].proof, scope_lexicon.bases) == Var("h0", ET)
 
 
 def test_enumerate_unknown_word(scope_lexicon):
@@ -195,7 +195,7 @@ def test_enumerate_tries_every_assignment(demo_lexicon):
     words = "every representative of a company saw most samples".split()
     parses = enumerate_parses(demo_lexicon, words, "S")
     assert len(parses) == 2
-    assert len({norm_key(p.term) for p in parses}) == 2
+    assert len({norm_key(extract_term(p.proof, demo_lexicon.bases)) for p in parses}) == 2
 
 
 PARSE_ORDER = json.loads(
@@ -206,15 +206,16 @@ PARSE_ORDER = json.loads(
                          ids=lambda e: e["sentence"])
 def test_enumerate_order_is_pinned(demo_lexicon, entry):
     parses = enumerate_parses(demo_lexicon, entry["sentence"].split(), "S")
-    got = [[list(p.sense_indices), norm_key(p.term)] for p in parses]
+    got = [[list(p.sense_indices), norm_key(extract_term(p.proof, demo_lexicon.bases))]
+           for p in parses]
     assert got == entry["parses"]
 
 
 def test_enumerate_deterministic(scope_lexicon):
     words = "every kid watched a cartoon".split()
-    first = [(p.sense_indices, norm_key(p.term))
+    first = [(p.sense_indices, norm_key(extract_term(p.proof, scope_lexicon.bases)))
              for p in enumerate_parses(scope_lexicon, words, "S")]
-    second = [(p.sense_indices, norm_key(p.term))
+    second = [(p.sense_indices, norm_key(extract_term(p.proof, scope_lexicon.bases)))
               for p in enumerate_parses(scope_lexicon, words, "S")]
     assert first == second
 
