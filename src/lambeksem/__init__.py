@@ -16,8 +16,7 @@ from .composer import (CompositionError, ComposeOptions, MismatchSite,
                        compute_readings, find_mismatches, resolve_coercions,
                        substitute_lexical)
 from .hol import (ASCII, Conn, NonLogicalHead, NotAProposition, Pred, Quant,
-                  STRUCTURED, UNICODE, formula_to_term, formula_tree, render,
-                  to_formula)
+                  UNICODE, formula_to_term, formula_tree, render, to_formula)
 from .lexicon import (Coercion, LexEntry, Lexicon, LexiconError, Sense,
                       UnknownWord, load_lexicon, load_lexicon_file,
                       lexicon_to_document, phrase_coercions)
@@ -39,7 +38,7 @@ __all__ = [
     "LexiconError", "MismatchSite", "MissingSense", "NO_PARSE",
     "NonLogicalHead", "NotAProposition", "OK", "OccurrenceClass", "Over",
     "PARSE_BUT_NO_SORTING", "Parse", "PolyInst", "Pred", "Provenance",
-    "ProveOptions", "Quant", "Reading", "ReadingReport", "STRUCTURED",
+    "ProveOptions", "Quant", "Reading", "ReadingReport",
     "SearchLimitExceeded", "SemType", "Sense", "SentenceAnalysis", "SortAtom",
     "SortMap", "T", "Term", "TypeMismatch", "TypeVar", "UNICODE",
     "UnboundVariable", "Under", "UnknownAtom", "UnknownWord", "Var",

@@ -141,7 +141,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         lexicon, _ = load_lexicon_file(config.lexicon_path)
     except FileNotFoundError as exc:
         return 3, f"error: cannot read lexicon: {exc}\n"
-    except (LexiconError, UnknownAtom, CategorySyntaxError) as exc:
+    except LexiconError as exc:
         return 3, f"error: invalid lexicon {config.lexicon_path}: {exc}\n"
     # The goal is the same for every sentence: a bad one is one error.
     try:

@@ -25,12 +25,13 @@ has not fixed its sort, it is rebuilt with fresh holes for each use.
 The table lives for one `analyze` call.
 
 Mismatch sites are located on the unreduced substituted term, before
-beta reduction; readings are the beta-normal forms of the repaired
-terms.  Which readings coincide is decided here and nowhere else: every
-candidate from every parse gets one key, the canonical key of its
-eta-long form, and the first candidate with a new key is kept with its
-binders renamed canonically, so a reading does not depend on what was
-analyzed before it.
+beta reduction.  Each repaired term, a candidate, is evaluated once
+(`terms.evaluate`), and both of its normal forms are read back from that
+one value, their binders named b0, b1, ... in traversal order: the
+beta-normal form is the candidate's reading, and the text of the
+eta-long form is its key.  Which readings coincide is decided here and
+nowhere else: the first candidate with a new key is kept, so a reading
+does not depend on what was analyzed before it.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ from .categories import Category, parse_category, sem_type
 from .lexicon import Coercion, Lexicon, phrase_coercions
 from .prover import (AXIOM, OVER_I, UNDER_E, UNDER_I, Parse, Proof, ProveOptions,
                      enumerate_parses)
-from .terms import (Abs, App, Arrow, BETA, BETA_ETA_LONG, Const, E, PolyInst,
-                    SemType, SortAtom, T, Term, TypeVar, UnificationError,
-                    Unifier, Var, canonical_key, canonicalize, free_vars,
-                    is_hole, map_types, normalize, subst_type, type_of)
+from .terms import (Abs, App, Arrow, Const, E, PolyInst, SemType, SortAtom, T,
+                    Term, TypeVar, UnificationError, Unifier, Var, evaluate,
+                    free_vars, is_hole, key_text, map_types, read_back,
+                    subst_type, type_of)
+# Not called here; kept as attributes for bench/tracing.py, which wraps
+# them by name.
+from .terms import canonical_key, canonicalize, normalize  # noqa: F401
 
 
 class CompositionError(Exception):
@@ -415,8 +419,8 @@ def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
     """Run the whole pipeline on one sentence and classify the outcome.
 
     Every parse and every repair of it is a candidate; candidates are
-    grouped by `canonical_key` of their eta-long normal form, computed
-    once each, and readings come out sorted by that key."""
+    grouped by the key of their eta-long normal form, and readings come
+    out sorted by that key."""
     options = options or ComposeOptions()
     goal_cat = parse_category(goal, lexicon.bases) if isinstance(goal, str) else goal
     if sem_type(goal_cat, lexicon.bases) != T:
@@ -430,15 +434,22 @@ def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
     table = _Substitutions(lexicon)
     for parse in parses:
         substituted = substitute_lexical(parse, lexicon, _table=table)
-        for repaired, choices in resolve_coercions(substituted, available):
-            formula_term = normalize(repaired, BETA)
-            if free_vars(formula_term):
+        candidates = resolve_coercions(substituted, available)
+        if not candidates:
+            continue
+        # Repairs add constants only, so every candidate of the parse has
+        # these free variables, and a reading can have no others.
+        free = free_vars(substituted)
+        for repaired, choices in candidates:
+            value = evaluate(repaired)
+            formula_term = read_back(value, None, free)
+            if free and free_vars(formula_term):
                 raise CompositionError("reading is not closed")
             if type_of(formula_term, {}) != T:
                 raise CompositionError("reading is not of type t")
-            key = canonical_key(normalize(formula_term, BETA_ETA_LONG))
+            key = key_text(read_back(value, T, free))
             if key not in grouped:
-                grouped[key] = (canonicalize(formula_term), [])
+                grouped[key] = (formula_term, [])
             grouped[key][1].append(Provenance(parse, choices))
 
     readings = [Reading(term, tuple(provs))

@@ -15,7 +15,6 @@ their own name as the binder word.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .terms import (Abs, App, Arrow, Const, PolyInst, SemType, SortAtom, T,
@@ -29,7 +28,6 @@ IMPLIES = "implies"
 
 UNICODE = "unicode"
 ASCII = "ascii"
-STRUCTURED = "structured"
 
 
 class NotAProposition(Exception):
@@ -129,7 +127,7 @@ def _is_quantifier_type(ty: SemType) -> bool:
             and isinstance(ty.domain.domain, SortAtom))
 
 
-def to_formula(term: Term, *, reverse_args: bool = True) -> Formula:
+def to_formula(term: Term) -> Formula:
     """Decompose a beta-normal term of type t into a formula tree."""
     if type_of(term) != T:
         raise NotAProposition(f"term has type {type_of(term)}, not t")
@@ -152,10 +150,7 @@ def to_formula(term: Term, *, reverse_args: bool = True) -> Formula:
             binder = next(names)
             return Quant(name, binder, sort,
                          formula(body.body, {**env, body.var: binder}))
-        fargs = [fterm(a, env) for a in args]
-        if reverse_args:
-            fargs.reverse()
-        return Pred(name, tuple(fargs))
+        return Pred(name, tuple(fterm(a, env) for a in reversed(args)))
 
     def fterm(t: Term, env: dict[str, str]):
         t = _eta_contract(t)
@@ -176,10 +171,8 @@ def to_formula(term: Term, *, reverse_args: bool = True) -> Formula:
                 and isinstance(hty.codomain, SortAtom)
                 and hty.codomain != T):
             return FCoerce(name, hty.domain, hty.codomain, fterm(args[0], env))
-        fargs = [fterm(a, env) for a in args]
-        if reverse_args:
-            fargs.reverse()
-        return FFun(FConst(name, hty, schema), tuple(fargs))
+        return FFun(FConst(name, hty, schema),
+                    tuple(fterm(a, env) for a in reversed(args)))
 
     return formula(term, {})
 
@@ -223,8 +216,6 @@ def render(formula: Formula, style: str = UNICODE) -> str:
     implies, with implies right-associative and the others
     left-associative; parentheses appear only where required.
     """
-    if style == STRUCTURED:
-        return json.dumps(_tree(formula), sort_keys=True)
     unicode = style == UNICODE
     if style not in (UNICODE, ASCII):
         raise ValueError(f"unknown style {style!r}")
@@ -267,11 +258,7 @@ def render(formula: Formula, style: str = UNICODE) -> str:
 
 
 def formula_tree(formula: Formula) -> dict:
-    """The STRUCTURED rendering as a plain dict."""
-    return _tree(formula)
-
-
-def _tree(formula: Formula) -> dict:
+    """The formula as nested plain dicts, the form of the JSON report."""
     def term_tree(node) -> dict:
         if isinstance(node, FVar):
             return {"kind": "var", "name": node.name}
@@ -287,10 +274,11 @@ def _tree(formula: Formula) -> dict:
     if isinstance(formula, Quant):
         return {"kind": "quant", "quantifier": formula.kind,
                 "variable": formula.variable, "sort": str(formula.sort),
-                "body": _tree(formula.body)}
+                "body": formula_tree(formula.body)}
     if isinstance(formula, Conn):
         return {"kind": "conn", "connective": formula.kind,
-                "left": _tree(formula.left), "right": _tree(formula.right)}
+                "left": formula_tree(formula.left),
+                "right": formula_tree(formula.right)}
     return {"kind": "pred", "name": formula.name,
             "args": [term_tree(a) for a in formula.args]}
 
@@ -315,7 +303,7 @@ def _match_schema(schema: SemType, concrete: SemType,
         raise ValueError(f"schema {schema} does not match {concrete}")
 
 
-def formula_to_term(formula: Formula, *, reverse_args: bool = True) -> Term:
+def formula_to_term(formula: Formula) -> Term:
     """Rebuild a term from a formula; inverse of to_formula up to
     beta-eta equivalence."""
 
@@ -331,12 +319,9 @@ def formula_to_term(formula: Formula, *, reverse_args: bool = True) -> Term:
         if isinstance(node, FCoerce):
             return App(Const(node.name, Arrow(node.source, node.target)),
                        fterm(node.arg))
-        args = [fterm(a) for a in node.args]
-        if reverse_args:
-            args.reverse()
         out = fterm(node.head)
-        for a in args:
-            out = App(out, a)
+        for a in reversed(node.args):
+            out = App(out, fterm(a))
         return out
 
     def build(f: Formula) -> Term:
@@ -346,9 +331,7 @@ def formula_to_term(formula: Formula, *, reverse_args: bool = True) -> Term:
         if isinstance(f, Conn):
             conn = Const(f.kind, Arrow(T, Arrow(T, T)))
             return App(App(conn, build(f.left)), build(f.right))
-        args = [fterm(a) for a in f.args]
-        if reverse_args:
-            args.reverse()
+        args = [fterm(a) for a in reversed(f.args)]
         ty: SemType = T
         for a in reversed(args):
             ty = Arrow(type_of(a), ty)

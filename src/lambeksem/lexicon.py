@@ -520,8 +520,8 @@ def load_lexicon(document: str | Mapping) -> tuple[Lexicon, list[Diagnostic]]:
             cat_text = _require(sdoc, "category", str, f"word {word}")
             try:
                 cat = parse_category(cat_text, sort_map)
-            except UnknownAtom as exc:
-                raise UnknownAtom(exc.name) from exc
+            except (CategorySyntaxError, UnknownAtom) as exc:
+                raise SchemaError(str(exc)) from exc
             if cat in seen_cats:
                 raise SchemaError(f"word {word} has two senses at category {cat}")
             seen_cats.add(cat)

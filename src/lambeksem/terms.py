@@ -2,11 +2,12 @@
 
 Terms are immutable trees.  Every variable and constant carries its type
 inline, so a term can be typed without an external signature.  All
-operations are pure except for naming: the binders that substitution
-renames and eta-expansion adds take fresh names from one module counter,
-so those names depend on every call made before.  Readings do not carry
-them: the composer stores each reading `canonicalize`d, its binders
-named b0, b1, ... in traversal order.
+operations are pure except for naming in `substitute`: the binders it
+renames take fresh names from one module counter, so those names depend
+on every call made before.  Normalization draws none.  It evaluates a
+term into closures and reads the value back (`evaluate`, `read_back`),
+naming binders b0, b1, ... in traversal order, so a normal form depends
+on its term alone.
 """
 
 from __future__ import annotations
@@ -335,8 +336,14 @@ def type_of(term: Term, context: Mapping[str, SemType] | None = None,
     return go(term, {})
 
 
-def _rename_bound(term: Abs) -> Abs:
-    new = fresh_name(term.var.rstrip("0123456789") or "_v")
+def _rename_bound(term: Abs, avoid: set[str]) -> Abs:
+    """The abstraction with its binder renamed to a fresh name that is
+    not in `avoid` and not free in the body."""
+    taken = avoid | free_vars(term.body)
+    prefix = term.var.rstrip("0123456789") or "_v"
+    new = fresh_name(prefix)
+    while new in taken:
+        new = fresh_name(prefix)
     body = _subst(term.body, term.var, Var(new, term.var_type))
     return Abs(new, term.var_type, body)
 
@@ -358,7 +365,7 @@ def _subst(term: Term, target: str, replacement: Term) -> Term:
             if t.var == target:
                 return t
             if t.var in replacement_free and target in free_vars(t.body):
-                t = _rename_bound(t)
+                t = _rename_bound(t, replacement_free)
             body = go(t.body)
             return t if body is t.body else Abs(t.var, t.var_type, body)
         raise TermError(f"unknown term node: {t!r}")
@@ -389,74 +396,115 @@ def substitute(term: Term, target: str, replacement: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# normalization by evaluation (Berger & Schwichtenberg, LICS 1991)
 
 BETA = "beta"
 BETA_ETA_LONG = "beta-eta-long"
 
 
-def _beta(term: Term) -> Term:
-    """Normal order: reduce to weak head normal form, then normalize the
-    body or the spine's arguments.  A normal term comes back as the same
-    node."""
-    args: list[Term] = []
-    head = term
-    reduced = False
-    while True:
-        if isinstance(head, App):
-            args.append(head.arg)
-            head = head.fn
-        elif isinstance(head, Abs) and args:
-            head = _subst(head.body, head.var, args.pop())
-            reduced = True
-        else:
-            break
-    if isinstance(head, Abs):
-        body = _beta(head.body)
-        return head if body is head.body else Abs(head.var, head.var_type, body)
-    if not args:
-        return head
-    args.reverse()
-    normal = [_beta(a) for a in args]
-    if not reduced and all(n is a for n, a in zip(normal, args)):
-        return term
-    return apply_spine(head, normal)
+class _Closure:
+    """An abstraction with the values of the variables free in it."""
+    __slots__ = ("abs", "env")
+
+    def __init__(self, abs_: Abs, env: dict):
+        self.abs, self.env = abs_, env
+
+    def apply(self, value) -> "_Closure | _Neutral":
+        return _eval(self.abs.body, {**self.env, self.abs.var: value})
 
 
-def _eta_long(term: Term, ty: SemType) -> Term:
-    """Eta-expand a beta-normal term of type `ty`.  The arguments of a
-    spine take their types from the head's type."""
-    if isinstance(ty, Arrow):
-        if isinstance(term, Abs):
-            return Abs(term.var, term.var_type, _eta_long(term.body, ty.codomain))
-        v = fresh_name("_e")
-        return Abs(v, ty.domain, _eta_long(App(term, Var(v, ty.domain)), ty.codomain))
-    head, args = spine(term)
-    if not args:
-        return head
-    fn_ty = head.type
-    long = []
-    for a in args:
-        long.append(_eta_long(a, fn_ty.domain))
-        fn_ty = fn_ty.codomain
-    return apply_spine(head, long)
+class _Neutral:
+    """A head that cannot reduce (a free or read-back variable, or a
+    constant) applied to evaluated arguments."""
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: Term, args: tuple = ()):
+        self.head, self.args = head, args
+
+
+def _eval(t: Term, env: dict) -> _Closure | _Neutral:
+    """The value of `t`.  `env` maps a bound variable to its value, or,
+    for a binder that read-back has entered, to the name it got."""
+    if isinstance(t, App):
+        fn, arg = _eval(t.fn, env), _eval(t.arg, env)
+        if isinstance(fn, _Closure):
+            return fn.apply(arg)
+        return _Neutral(fn.head, fn.args + (arg,))
+    if isinstance(t, Var):
+        value = env.get(t.name)
+        if value is None:
+            return _Neutral(t)
+        if isinstance(value, str):
+            return _Neutral(Var(value, t.type))
+        return value
+    if isinstance(t, Abs):
+        return _Closure(t, env)
+    if isinstance(t, (Const, PolyInst)):
+        return _Neutral(t)
+    raise TermError(f"unknown term node: {t!r}")
+
+
+def evaluate(term: Term) -> _Closure | _Neutral:
+    """Evaluate into closures and neutral terms, for `read_back`."""
+    return _eval(term, {})
+
+
+def read_back(value: _Closure | _Neutral, ty: SemType | None = None,
+              free: frozenset[str] | set[str] = frozenset()) -> Term:
+    """The normal form of an evaluated term, its binders named b0, b1,
+    ... in traversal order (function before argument), skipping the
+    names in `free`.  A variable bound by read-back keeps each
+    occurrence's own annotation.
+
+    Without a type this is the beta-normal form.  Given the term's type
+    it is the eta-long form: the arguments of a spine take their types
+    from the head's type, and a spine of arrow type gets a binder for
+    each argument it lacks."""
+    names = (n for n in map("b{}".format, itertools.count())
+             if n not in free).__next__
+
+    def beta(v: _Closure | _Neutral) -> Term:
+        if isinstance(v, _Closure):
+            name = names()
+            return Abs(name, v.abs.var_type, beta(v.apply(name)))
+        out = v.head
+        for a in v.args:
+            out = App(out, beta(a))
+        return out
+
+    def long(v: _Closure | _Neutral, ty: SemType) -> Term:
+        if isinstance(ty, Arrow):
+            name = names()
+            if isinstance(v, _Closure):
+                return Abs(name, v.abs.var_type, long(v.apply(name), ty.codomain))
+            expanded = _Neutral(v.head, v.args + (_Neutral(Var(name, ty.domain)),))
+            return Abs(name, ty.domain, long(expanded, ty.codomain))
+        out, fn_ty = v.head, v.head.type
+        for a in v.args:
+            out = App(out, long(a, fn_ty.domain))
+            fn_ty = fn_ty.codomain
+        return out
+
+    return beta(value) if ty is None else long(value, ty)
 
 
 def normalize(term: Term, mode: str = BETA) -> Term:
-    """Beta-normalize; with BETA_ETA_LONG, also fully eta-expand.
+    """Beta-normalize; with BETA_ETA_LONG, also fully eta-expand.  The
+    result's binders are named as by `read_back`, skipping the term's
+    free variables.
 
     BETA does not type-check.  BETA_ETA_LONG type-checks the beta-normal
     term once, strictly, at its root (raising `TypeMismatch` on an
     ill-typed application or a variable that disagrees with its binder),
-    and eta-expansion then passes each subterm's type down.  Expanding a
-    beta-normal term creates no redex (every new abstraction stands in
-    argument or body position), so no second beta pass follows.
+    and the typed read-back then passes each subterm's type down.
     """
     if mode not in (BETA, BETA_ETA_LONG):
         raise ValueError(f"unknown normalization mode: {mode}")
-    out = _beta(term)
+    free = free_vars(term)
+    value = evaluate(term)
+    out = read_back(value, None, free)
     if mode == BETA_ETA_LONG:
-        out = _eta_long(out, type_of(out))
+        out = read_back(value, type_of(out), free)
     return out
 
 
@@ -507,8 +555,8 @@ def canonicalize(term: Term) -> Term:
     return go(term, {})
 
 
-def canonical_key(term: Term) -> str:
-    """Printable key that is identical exactly for alpha-equal terms."""
+def key_text(term: Term) -> str:
+    """Printable text that is identical exactly for equal terms."""
 
     def go(t: Term) -> str:
         if isinstance(t, Var):
@@ -524,7 +572,12 @@ def canonical_key(term: Term) -> str:
             return f"(L{t.var}:{t.var_type}.{go(t.body)})"
         raise TermError(f"unknown term node: {t!r}")
 
-    return go(canonicalize(term))
+    return go(term)
+
+
+def canonical_key(term: Term) -> str:
+    """Printable key that is identical exactly for alpha-equal terms."""
+    return key_text(canonicalize(term))
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_deeply_nested_category_is_a_category_syntax_error():
         parse_category("(" * DEEP + "S" + ")" * DEEP)
     assert str(caught.value).startswith(TOO_DEEP)
     document = demo_document_with("dog", category="(" * DEEP + "n" + ")" * DEEP)
-    with pytest.raises(CategorySyntaxError) as caught:
+    with pytest.raises(SchemaError) as caught:
         load_lexicon(document)
     assert str(caught.value).startswith(TOO_DEEP)
 

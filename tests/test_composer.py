@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,11 +37,12 @@ from lambeksem import (
     to_formula,
     type_of,
 )
-from lambeksem import composer
+from lambeksem import composer, terms
 from lambeksem.cli import RunConfig, run
 from lambeksem.terms import free_vars, term_to_text
 
 import substoracle
+import termoracle
 from conftest import DATA
 from test_composition_pins import pinned_sentences
 
@@ -491,3 +493,33 @@ def test_property_readings_do_not_depend_on_history(demo_lexicon, sentence,
     analyze(between.split(), demo_lexicon)
     again = analyze(sentence.split(), demo_lexicon).readings
     assert [r.formula_term for r in first] == [r.formula_term for r in again]
+
+
+def test_analysis_draws_no_fresh_names(demo_lexicon):
+    before = int(terms.fresh_name("n")[1:])
+    for sentence in CORPUS_SENTENCES:
+        analyze(sentence.split(), demo_lexicon)
+    assert int(terms.fresh_name("n")[1:]) == before + 1
+
+
+@given(st.sampled_from(SUBSTITUTION_SENTENCES))
+@settings(max_examples=60, deadline=None)
+def test_property_candidate_keys_match_reference(demo_lexicon, sentence):
+    # Record each candidate `analyze` evaluates and the key it builds
+    # from that evaluation.
+    seen = []
+
+    def evaluate(term):
+        seen.append([term])
+        return terms.evaluate(term)
+
+    def key_text(term):
+        seen[-1].append(terms.key_text(term))
+        return seen[-1][-1]
+
+    with mock.patch.object(composer, "evaluate", evaluate), \
+            mock.patch.object(composer, "key_text", key_text):
+        analyze(sentence.split(), demo_lexicon)
+    for candidate, key in seen:
+        beta_normal = termoracle.normalize(candidate, BETA)
+        assert key == canonical_key(termoracle.normalize(beta_normal, BETA_ETA_LONG))

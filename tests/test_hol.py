@@ -14,7 +14,6 @@ from lambeksem import (
     NotAProposition,
     Pred,
     Quant,
-    STRUCTURED,
     T,
     UNICODE,
     Var,
@@ -59,12 +58,6 @@ def test_to_formula_flagship():
 def test_to_formula_reverses_predicate_arguments():
     term = app(WATCHED, Var("x", E), Var("z", E))
     assert to_formula(term) == Pred("watched", (fv("z"), fv("x")))
-
-
-def test_to_formula_keeps_order_when_asked():
-    term = app(WATCHED, Var("x", E), Var("z", E))
-    assert to_formula(term, reverse_args=False) \
-        == Pred("watched", (fv("x"), fv("z")))
 
 
 def test_to_formula_nullary_proposition():
@@ -131,13 +124,6 @@ def test_render_nullary():
     assert render(Pred("rain", ()), UNICODE) == "rain"
 
 
-def test_render_structured_is_sorted_json():
-    formula = Pred("kid", (fv("x"),))
-    assert json.loads(render(formula, STRUCTURED)) == formula_tree(formula)
-    assert render(formula, STRUCTURED) == json.dumps(formula_tree(formula),
-                                                     sort_keys=True)
-
-
 def test_render_precedence_and_inside_or():
     a, b, c = Pred("a", ()), Pred("b", ()), Pred("c", ())
     assert render(Conn("or", Conn("and", a, b), c), ASCII) == "a & b | c"
@@ -202,10 +188,7 @@ def test_formula_round_trip_on_corpus(demo_lexicon, corpus):
 
 def test_formula_round_trip_keeps_argument_order():
     term = app(WATCHED, Var("x", E), Var("z", E))
-    for flag in (True, False):
-        back = formula_to_term(to_formula(term, reverse_args=flag),
-                               reverse_args=flag)
-        assert back == term
+    assert formula_to_term(to_formula(term)) == term
 
 
 def test_render_injective_on_corpus_readings(demo_lexicon, corpus):

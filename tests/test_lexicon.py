@@ -135,6 +135,18 @@ def test_load_rejects_malformed_fields(edit):
         load(doc)
 
 
+@pytest.mark.parametrize("category, message", [
+    ("np \\", "unexpected end of input (at position 4)"),
+    ("zz \\ S", "unknown base category: zz"),
+])
+def test_load_reports_a_bad_sense_category_as_a_lexicon_error(category, message):
+    doc = scope_document()
+    doc["words"][1]["senses"][0]["category"] = category
+    with pytest.raises(LexiconError) as caught:
+        load(doc)
+    assert str(caught.value) == message
+
+
 def test_load_reads_boolean_flags():
     doc = scope_document()
     _with_coercion(doc, rigid=False)

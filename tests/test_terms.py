@@ -25,7 +25,7 @@ from lambeksem import (
     type_of,
 )
 from lambeksem import terms
-from lambeksem.terms import (PolyInst, TermError, TypeVar, UnificationError, Unifier,
+from lambeksem.terms import (PolyInst, TypeVar, UnificationError, Unifier,
                              canonicalize, free_vars, is_hole, map_types, poly_inst)
 
 import termoracle
@@ -104,6 +104,21 @@ def test_substitute_renames_capturing_binder():
     assert free_vars(result) == {"x"}
 
 
+def test_substitute_renames_to_a_name_not_already_free():
+    # The second call's fresh name would be x1 if the counter stood at 1;
+    # x1 is free in the body and must stay free.
+    g = Const("g", Arrow(E, Arrow(E, ET)))
+    term = lam("x", E, app(g, Var("x", E), Var("x1", E), Var("y", E)))
+    saved = terms._fresh_counter
+    terms._fresh_counter = itertools.count(0)
+    try:
+        results = [substitute(term, "y", Var("x", E)) for _ in range(2)]
+    finally:
+        terms._fresh_counter = saved
+    for result in results:
+        assert free_vars(result) == {"x", "x1"}
+
+
 def test_substitute_without_occurrence_is_identity():
     term = lam("x", E, App(KID, Var("x", E)))
     assert substitute(term, "y", Var("z", E)) == term
@@ -157,13 +172,27 @@ def test_normalize_identity_redex():
 
 def test_normalize_normal_form_is_fixed_point():
     term = reduced_flagship()
-    assert normalize(term, BETA) == term
+    assert normalize(term, BETA) == canonicalize(term)
 
 
-def test_normalize_beta_returns_a_normal_term_itself():
+def test_substitute_returns_an_untouched_term_itself():
     term = reduced_flagship()
-    assert normalize(term, BETA) is term
     assert substitute(term, "y", Var("z", E)) is term
+
+
+def test_normalize_draws_no_fresh_names():
+    before = int(terms.fresh_name("n")[1:])
+    normalize(unreduced_flagship(), BETA_ETA_LONG)
+    normalize(App(EXISTS, KID), BETA_ETA_LONG)
+    assert int(terms.fresh_name("n")[1:]) == before + 1
+
+
+def test_normalize_names_binders_around_free_variables():
+    # b0 is free, so the binder read back first is named b1.
+    term = App(lam("x", ET, lam("y", E, App(Var("x", ET), Var("y", E)))),
+               lam("z", E, app(WATCHED, Var("b0", E), Var("z", E))))
+    assert normalize(term, BETA) == lam("b1", E, app(WATCHED, Var("b0", E),
+                                                     Var("b1", E)))
 
 
 def test_normalize_eta_long_expands_first_order_argument():
@@ -381,49 +410,73 @@ open_terms = small_types.flatmap(lambda ty: typed_term(ty, dict(FREE_ENV), 2))
 # Binders reuse the names of free variables, so substitutions must rename.
 CAPTURE_NAMES = ("x", "x1", "y")
 CAPTURE_ENV = {"x": E, "x1": ET, "y": T}
+# Free variables with the names read-back gives binders, which it must skip.
+SKIP_NAMES = ("b0", "b1", "y")
+SKIP_ENV = {"b0": E, "b1": ET, "y": T}
 
 
 @st.composite
-def forced_capture(draw):
+def forced_capture(draw, names, env):
     """(\\v:D. \\u:U. k M v) (k N u): u is free in the argument and v
     under the binder u, so reducing the redex must rename u."""
-    v, u = draw(st.permutations(CAPTURE_NAMES))[:2]
+    v, u = draw(st.permutations(names))[:2]
     ty, d, dv = draw(small_types), draw(small_types), draw(small_types)
-    inner = {**CAPTURE_ENV, v: dv, u: d}
+    inner = {**env, v: dv, u: d}
     body = app(poly_inst("k", KP, {"a": ty, "b": dv}),
-               draw(typed_term(ty, inner, 1, CAPTURE_NAMES)), Var(v, dv))
+               draw(typed_term(ty, inner, 1, names)), Var(v, dv))
     arg = app(poly_inst("k", KP, {"a": dv, "b": d}),
-              draw(typed_term(dv, {**CAPTURE_ENV, u: d}, 1, CAPTURE_NAMES)), Var(u, d))
+              draw(typed_term(dv, {**env, u: d}, 1, names)), Var(u, d))
     return App(Abs(v, dv, Abs(u, d, body)), arg)
 
 
-capture_prone_terms = forced_capture() | small_types.flatmap(
-    lambda ty: typed_term(ty, dict(CAPTURE_ENV), 2, CAPTURE_NAMES))
+def capture_prone_terms(names, env):
+    return forced_capture(names, env) | small_types.flatmap(
+        lambda ty: typed_term(ty, dict(env), 2, names))
 
 
-def _from_counter(start, normalizer, term, mode):
-    """Normalize with the fresh-name counter at `start`; the result (or
-    the exception raised) and how far the counter advanced."""
+def free_var_types(term, bound=frozenset()):
+    if isinstance(term, Var):
+        return {} if term.name in bound else {term.name: term.type}
+    if isinstance(term, App):
+        return {**free_var_types(term.fn, bound), **free_var_types(term.arg, bound)}
+    if isinstance(term, Abs):
+        return free_var_types(term.body, bound | {term.var})
+    return {}
+
+
+def closed_over(term):
+    for name, ty in sorted(free_var_types(term).items()):
+        term = Abs(name, ty, term)
+    return term
+
+
+def reference(term, mode):
+    """termoracle's normal form.  Its fresh names come from a counter
+    started high enough that they never meet a name the term uses, such
+    as x1, which the oracle does not check for."""
     saved = terms._fresh_counter
-    terms._fresh_counter = itertools.count(start)
+    terms._fresh_counter = itertools.count(100)
     try:
-        try:
-            out = normalizer(term, mode)
-        except TermError as exc:
-            out = (type(exc), str(exc))
-        return out, int(terms.fresh_name("n")[1:]) - start
+        return termoracle.normalize(term, mode)
     finally:
         terms._fresh_counter = saved
 
 
-@given(capture_prone_terms, st.integers(0, 3))
-@settings(max_examples=400, deadline=None)
-def test_property_normalize_matches_reference(term, start):
-    # A counter started this low also makes fresh binders such as x1
-    # collide with names the term already uses.
+@given(capture_prone_terms(CAPTURE_NAMES, CAPTURE_ENV).map(closed_over))
+@settings(max_examples=300, deadline=None)
+def test_property_normalize_matches_reference_on_closed_terms(term):
     for mode in (BETA, BETA_ETA_LONG):
-        assert (_from_counter(start, normalize, term, mode)
-                == _from_counter(start, termoracle.normalize, term, mode))
+        assert normalize(term, mode) == canonicalize(reference(term, mode))
+
+
+@given(capture_prone_terms(CAPTURE_NAMES, CAPTURE_ENV)
+       | capture_prone_terms(SKIP_NAMES, SKIP_ENV))
+@settings(max_examples=300, deadline=None)
+def test_property_normalize_matches_reference_on_open_terms(term):
+    for mode in (BETA, BETA_ETA_LONG):
+        out, expected = normalize(term, mode), reference(term, mode)
+        assert alpha_eq(out, expected)
+        assert free_vars(out) == free_vars(expected)
 
 
 @given(open_terms)
