@@ -28,7 +28,7 @@ from .terms import (Abs, App, Arrow, BETA, BETA_ETA_LONG, Const, E,
                     OccurrenceClass, PolyInst, SemType, SortAtom, T, Term,
                     TypeMismatch, TypeVar, UnboundVariable, Var, alpha_eq,
                     canonical_key, classify_occurrences, normalize,
-                    substitute, term_to_text, type_of)
+                    term_to_text, type_of)
 
 __all__ = [
     "Abs", "App", "Arrow", "ASCII", "Atom", "BETA", "BETA_ETA_LONG",
@@ -49,6 +49,6 @@ __all__ = [
     "lexicon_to_document", "load_lexicon", "load_lexicon_file", "normalize",
     "order", "parse_category", "phrase_coercions", "prove",
     "quantifier_count", "reading_report", "render", "resolve_coercions",
-    "sem_type", "substitute", "substitute_lexical", "term_to_text",
+    "sem_type", "substitute_lexical", "term_to_text",
     "to_formula", "type_of",
 ]

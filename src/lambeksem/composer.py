@@ -26,10 +26,11 @@ The table lives for one `analyze` call.
 
 Mismatch sites are located on the unreduced substituted term, before
 beta reduction.  Each repaired term, a candidate, is evaluated once
-(`terms.evaluate`), and both of its normal forms are read back from that
-one value, their binders named b0, b1, ... in traversal order: the
-beta-normal form is the candidate's reading, and the text of the
-eta-long form is its key.  Which readings coincide is decided here and
+(`terms.evaluate`) and read back once (`terms.read_back_keyed`).  That
+one traversal gives its reading, the beta-normal form, and its key, the
+text of the eta-long form, each with binders named b0, b1, ... in its
+own traversal order; it also checks that the reading is closed, well
+typed and of type t.  Which readings coincide is decided here and
 nowhere else: the first candidate with a new key is kept, so a reading
 does not depend on what was analyzed before it.
 """
@@ -45,7 +46,7 @@ from .prover import (AXIOM, OVER_I, UNDER_E, UNDER_I, Parse, Proof, ProveOptions
                      enumerate_parses)
 from .terms import (Abs, App, Arrow, Const, E, PolyInst, SemType, SortAtom, T,
                     Term, TypeVar, UnificationError, Unifier, Var, evaluate,
-                    free_vars, is_hole, key_text, map_types, read_back,
+                    free_vars, is_hole, map_types, read_back, read_back_keyed,
                     subst_type, type_of)
 # Not called here; kept as attributes for bench/tracing.py, which wraps
 # them by name.
@@ -407,6 +408,22 @@ def resolve_coercions(term: Term, available: tuple[Coercion, ...]
 # ---------------------------------------------------------------------------
 # full pipeline
 
+def _reading_and_key(candidate: Term) -> tuple[Term, str]:
+    """The candidate's reading and key, from one read-back.  One that
+    read-back refuses, which no loaded lexicon gives, raises what checks
+    of its reading raise: open or not of type t is a CompositionError,
+    ill-typed is strict `type_of`'s TypeMismatch."""
+    value = evaluate(candidate)
+    read = read_back_keyed(value, T)
+    if read is not None:
+        return read
+    reading = read_back(value, free_vars(candidate))
+    if free_vars(reading):
+        raise CompositionError("reading is not closed")
+    type_of(reading, {})
+    raise CompositionError("reading is not of type t")
+
+
 def compute_readings(words: list[str] | tuple[str, ...], lexicon: Lexicon,
                      goal: Category | str = "S",
                      options: ComposeOptions | None = None) -> list[Reading]:
@@ -434,23 +451,10 @@ def analyze(words: list[str] | tuple[str, ...], lexicon: Lexicon,
     table = _Substitutions(lexicon)
     for parse in parses:
         substituted = substitute_lexical(parse, lexicon, _table=table)
-        candidates = resolve_coercions(substituted, available)
-        if not candidates:
-            continue
-        # Repairs add constants only, so every candidate of the parse has
-        # these free variables, and a reading can have no others.
-        free = free_vars(substituted)
-        for repaired, choices in candidates:
-            value = evaluate(repaired)
-            formula_term = read_back(value, None, free)
-            if free and free_vars(formula_term):
-                raise CompositionError("reading is not closed")
-            if type_of(formula_term, {}) != T:
-                raise CompositionError("reading is not of type t")
-            key = key_text(read_back(value, T, free))
-            if key not in grouped:
-                grouped[key] = (formula_term, [])
-            grouped[key][1].append(Provenance(parse, choices))
+        for repaired, choices in resolve_coercions(substituted, available):
+            formula_term, key = _reading_and_key(repaired)
+            grouped.setdefault(key, (formula_term, []))[1].append(
+                Provenance(parse, choices))
 
     readings = [Reading(term, tuple(provs))
                 for _, (term, provs) in sorted(grouped.items())]

@@ -1,13 +1,12 @@
 """Typed lambda terms over declared sorts: the semantic core.
 
 Terms are immutable trees.  Every variable and constant carries its type
-inline, so a term can be typed without an external signature.  All
-operations are pure except for naming in `substitute`: the binders it
-renames take fresh names from one module counter, so those names depend
-on every call made before.  Normalization draws none.  It evaluates a
-term into closures and reads the value back (`evaluate`, `read_back`),
-naming binders b0, b1, ... in traversal order, so a normal form depends
-on its term alone.
+inline, so a term can be typed without an external signature.  Every
+operation is pure.  Normalization evaluates a term into closures and
+reads the value back (`evaluate`, `read_back`), naming binders b0, b1,
+... in traversal order, so a normal form depends on its term alone.  One
+read-back can give both the beta-normal form and the key text of the
+eta-long form, checking types strictly as it goes (`read_back_keyed`).
 """
 
 from __future__ import annotations
@@ -260,13 +259,6 @@ class Unifier:
         return result, self.unify(fn_ty, Arrow(arg_ty, result))
 
 
-_fresh_counter = itertools.count()
-
-
-def fresh_name(prefix: str = "_v") -> str:
-    return f"{prefix}{next(_fresh_counter)}"
-
-
 def spine(term: Term) -> tuple[Term, list[Term]]:
     """Unwind nested applications: returns (head, [arg1, ..., argn])."""
     args: list[Term] = []
@@ -275,12 +267,6 @@ def spine(term: Term) -> tuple[Term, list[Term]]:
         term = term.fn
     args.reverse()
     return term, args
-
-
-def apply_spine(head: Term, args: list[Term]) -> Term:
-    for a in args:
-        head = App(head, a)
-    return head
 
 
 def free_vars(term: Term) -> set[str]:
@@ -336,65 +322,6 @@ def type_of(term: Term, context: Mapping[str, SemType] | None = None,
     return go(term, {})
 
 
-def _rename_bound(term: Abs, avoid: set[str]) -> Abs:
-    """The abstraction with its binder renamed to a fresh name that is
-    not in `avoid` and not free in the body."""
-    taken = avoid | free_vars(term.body)
-    prefix = term.var.rstrip("0123456789") or "_v"
-    new = fresh_name(prefix)
-    while new in taken:
-        new = fresh_name(prefix)
-    body = _subst(term.body, term.var, Var(new, term.var_type))
-    return Abs(new, term.var_type, body)
-
-
-def _subst(term: Term, target: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution without type checking.  A subterm
-    in which nothing is replaced or renamed comes back as the same node."""
-    replacement_free = free_vars(replacement)
-
-    def go(t: Term) -> Term:
-        if isinstance(t, App):
-            fn, arg = go(t.fn), go(t.arg)
-            return t if fn is t.fn and arg is t.arg else App(fn, arg)
-        if isinstance(t, Var):
-            return replacement if t.name == target else t
-        if isinstance(t, (Const, PolyInst)):
-            return t
-        if isinstance(t, Abs):
-            if t.var == target:
-                return t
-            if t.var in replacement_free and target in free_vars(t.body):
-                t = _rename_bound(t, replacement_free)
-            body = go(t.body)
-            return t if body is t.body else Abs(t.var, t.var_type, body)
-        raise TermError(f"unknown term node: {t!r}")
-
-    return go(term)
-
-
-def substitute(term: Term, target: str, replacement: Term) -> Term:
-    """Replace free occurrences of `target`, renaming binders to avoid capture.
-
-    The replacement's type must equal the annotated type of every replaced
-    occurrence.
-    """
-    repl_ty = type_of(replacement)
-
-    def check(t: Term, shadowed: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name == target and target not in shadowed and t.type != repl_ty:
-                raise TypeMismatch(f"substitution for {target}", t.type, repl_ty)
-        elif isinstance(t, App):
-            check(t.fn, shadowed)
-            check(t.arg, shadowed)
-        elif isinstance(t, Abs):
-            check(t.body, shadowed | {t.var})
-
-    check(term, frozenset())
-    return _subst(term, target, replacement)
-
-
 # ---------------------------------------------------------------------------
 # normalization by evaluation (Berger & Schwichtenberg, LICS 1991)
 
@@ -414,17 +341,19 @@ class _Closure:
 
 
 class _Neutral:
-    """A head that cannot reduce (a free or read-back variable, or a
-    constant) applied to evaluated arguments."""
+    """A head that cannot reduce applied to evaluated arguments: a
+    constant, a free variable, or an occurrence of a binder read-back
+    has entered, as its level followed by the occurrence's annotation."""
     __slots__ = ("head", "args")
 
-    def __init__(self, head: Term, args: tuple = ()):
+    def __init__(self, head: "Term | tuple", args: tuple = ()):
         self.head, self.args = head, args
 
 
 def _eval(t: Term, env: dict) -> _Closure | _Neutral:
     """The value of `t`.  `env` maps a bound variable to its value, or,
-    for a binder that read-back has entered, to the name it got."""
+    for a binder that read-back has entered, to its level: (its name in
+    the beta-normal form, in the eta-long form, its type)."""
     if isinstance(t, App):
         fn, arg = _eval(t.fn, env), _eval(t.arg, env)
         if isinstance(fn, _Closure):
@@ -434,8 +363,8 @@ def _eval(t: Term, env: dict) -> _Closure | _Neutral:
         value = env.get(t.name)
         if value is None:
             return _Neutral(t)
-        if isinstance(value, str):
-            return _Neutral(Var(value, t.type))
+        if value.__class__ is tuple:
+            return _Neutral(value + (t.type,))
         return value
     if isinstance(t, Abs):
         return _Closure(t, env)
@@ -445,47 +374,101 @@ def _eval(t: Term, env: dict) -> _Closure | _Neutral:
 
 
 def evaluate(term: Term) -> _Closure | _Neutral:
-    """Evaluate into closures and neutral terms, for `read_back`."""
+    """Evaluate into closures and neutral terms, for read-back."""
     return _eval(term, {})
 
 
-def read_back(value: _Closure | _Neutral, ty: SemType | None = None,
-              free: frozenset[str] | set[str] = frozenset()) -> Term:
-    """The normal form of an evaluated term, its binders named b0, b1,
-    ... in traversal order (function before argument), skipping the
-    names in `free`.  A variable bound by read-back keeps each
-    occurrence's own annotation.
+def _names(free: frozenset[str] | set[str]) -> Callable[[], str]:
+    return (n for n in map("b{}".format, itertools.count())
+            if n not in free).__next__
 
-    Without a type this is the beta-normal form.  Given the term's type
-    it is the eta-long form: the arguments of a spine take their types
-    from the head's type, and a spine of arrow type gets a binder for
-    each argument it lacks."""
-    names = (n for n in map("b{}".format, itertools.count())
-             if n not in free).__next__
+
+def read_back(value: _Closure | _Neutral,
+              free: frozenset[str] | set[str] = frozenset()) -> Term:
+    """The beta-normal form of an evaluated term, unchecked.  Binders
+    are named b0, b1, ... in traversal order (function before
+    argument), skipping the names in `free`, and a variable bound by
+    read-back keeps each occurrence's own annotation."""
+    names = _names(free)
 
     def beta(v: _Closure | _Neutral) -> Term:
         if isinstance(v, _Closure):
             name = names()
-            return Abs(name, v.abs.var_type, beta(v.apply(name)))
-        out = v.head
+            return Abs(name, v.abs.var_type, beta(v.apply((name, None, None))))
+        out = Var(v.head[0], v.head[3]) if v.head.__class__ is tuple else v.head
         for a in v.args:
             out = App(out, beta(a))
         return out
 
-    def long(v: _Closure | _Neutral, ty: SemType) -> Term:
-        if isinstance(ty, Arrow):
-            name = names()
-            if isinstance(v, _Closure):
-                return Abs(name, v.abs.var_type, long(v.apply(name), ty.codomain))
-            expanded = _Neutral(v.head, v.args + (_Neutral(Var(name, ty.domain)),))
-            return Abs(name, ty.domain, long(expanded, ty.codomain))
-        out, fn_ty = v.head, v.head.type
-        for a in v.args:
-            out = App(out, long(a, fn_ty.domain))
-            fn_ty = fn_ty.codomain
-        return out
+    return beta(value)
 
-    return beta(value) if ty is None else long(value, ty)
+
+# Eta-long form constructors (variable, head, application, abstraction).
+_AS_TERM = (Var, lambda head: head, App, Abs)
+
+
+def _read(value: _Closure | _Neutral, ty: SemType,
+          free: frozenset[str] | set[str], long: tuple) -> tuple[Term, object]:
+    """`read_back(value, free)` and, from the same traversal, the
+    eta-long form at type `ty` built with `long`'s constructors.  That
+    form names its binders in its own traversal order, eta binders
+    included; a spine's arguments are read at its head's domains, and a
+    spine of arrow type gets a binder for each argument it lacks.  The
+    strict type check goes along: `TermError` is raised unless each
+    occurrence's annotation is its binder's type, each argument's type
+    its head's domain, the value's type `ty`, and each variable head
+    that read-back did not bind is in `free`."""
+    var, head_form, app, lam = long
+    short_name, long_name = _names(free), _names(free)
+
+    def go(v: _Closure | _Neutral, ty: SemType) -> tuple[Term, object]:
+        if v.__class__ is _Closure:
+            var_ty = v.abs.var_type
+            if ty.__class__ is not Arrow or ty.domain != var_ty:
+                raise TermError("read-back refused")
+            short, name = short_name(), long_name()
+            body, body_long = go(v.apply((short, name, var_ty)), ty.codomain)
+            return Abs(short, var_ty, body), lam(name, var_ty, body_long)
+        head = v.head
+        if head.__class__ is tuple:
+            short, name, binder_ty, fn_ty = head
+            if fn_ty != binder_ty:
+                raise TermError("read-back refused")
+            out, out_long = Var(short, fn_ty), var(name, fn_ty)
+        elif head.__class__ is Var and head.name not in free:
+            raise TermError("read-back refused")
+        else:
+            out, out_long, fn_ty = head, head_form(head), head.type
+        etas, rest = [], ty
+        while rest.__class__ is Arrow:
+            etas.append((long_name(), rest.domain))
+            rest = rest.codomain
+        for a in v.args:
+            if fn_ty.__class__ is not Arrow:
+                raise TermError("read-back refused")
+            arg, arg_long = go(a, fn_ty.domain)
+            out, out_long = App(out, arg), app(out_long, arg_long)
+            fn_ty = fn_ty.codomain
+        if fn_ty != ty:
+            raise TermError("read-back refused")
+        for name, domain in etas:
+            # An eta binder's level has no name in the beta-normal form.
+            out_long = app(out_long, go(_Neutral((None, name, domain, domain)), domain)[1])
+        for name, domain in reversed(etas):
+            out_long = lam(name, domain, out_long)
+        return out, out_long
+
+    return go(value, ty)
+
+
+def read_back_keyed(value: _Closure | _Neutral, ty: SemType) -> tuple[Term, str] | None:
+    """`read_back(value)` and the key text of the eta-long form at type
+    `ty`, from one strictly checked traversal (`_read`); None if the
+    value is open or ill-typed, or its type is not `ty`."""
+    try:
+        return _read(value, ty, frozenset(), _AS_KEY)
+    except TermError:
+        return None
 
 
 def normalize(term: Term, mode: str = BETA) -> Term:
@@ -502,9 +485,9 @@ def normalize(term: Term, mode: str = BETA) -> Term:
         raise ValueError(f"unknown normalization mode: {mode}")
     free = free_vars(term)
     value = evaluate(term)
-    out = read_back(value, None, free)
+    out = read_back(value, free)
     if mode == BETA_ETA_LONG:
-        out = read_back(value, type_of(out), free)
+        out = _read(value, type_of(out), free, _AS_TERM)[1]
     return out
 
 
@@ -555,24 +538,31 @@ def canonicalize(term: Term) -> Term:
     return go(term, {})
 
 
+def _key_leaf(t: Term) -> str:
+    if isinstance(t, Var):
+        return f"v:{t.name}:{t.type}"
+    if isinstance(t, Const):
+        return f"c:{t.name}:{t.type}"
+    if isinstance(t, PolyInst):
+        inst = ",".join(f"{v}={ty}" for v, ty in t.inst)
+        return f"p:{t.name}:{t.schema}:{inst}"
+    raise TermError(f"unknown term node: {t!r}")
+
+
+# The same for its key text.
+_AS_KEY = (lambda name, ty: f"v:{name}:{ty}", _key_leaf,
+           lambda fn, arg: f"({fn} {arg})",
+           lambda name, ty, body: f"(L{name}:{ty}.{body})")
+
+
 def key_text(term: Term) -> str:
     """Printable text that is identical exactly for equal terms."""
-
-    def go(t: Term) -> str:
-        if isinstance(t, Var):
-            return f"v:{t.name}:{t.type}"
-        if isinstance(t, Const):
-            return f"c:{t.name}:{t.type}"
-        if isinstance(t, PolyInst):
-            inst = ",".join(f"{v}={ty}" for v, ty in t.inst)
-            return f"p:{t.name}:{t.schema}:{inst}"
-        if isinstance(t, App):
-            return f"({go(t.fn)} {go(t.arg)})"
-        if isinstance(t, Abs):
-            return f"(L{t.var}:{t.var_type}.{go(t.body)})"
-        raise TermError(f"unknown term node: {t!r}")
-
-    return go(term)
+    _, leaf, app, lam = _AS_KEY
+    if isinstance(term, App):
+        return app(key_text(term.fn), key_text(term.arg))
+    if isinstance(term, Abs):
+        return lam(term.var, term.var_type, key_text(term.body))
+    return leaf(term)
 
 
 def canonical_key(term: Term) -> str:

@@ -11,9 +11,16 @@ memo entry can be replayed at any call site by substitution.
 
 from __future__ import annotations
 
+import itertools
+
 from lambeksem.categories import Atom, Category, Over, SortMap, Under, sem_type
-from lambeksem.terms import (BETA_ETA_LONG, Abs, App, Term, Var,
-                             canonical_key, fresh_name, normalize)
+from lambeksem.terms import BETA_ETA_LONG, Abs, App, Term, Var, canonical_key, normalize
+
+_fresh_counter = itertools.count()
+
+
+def fresh_name(prefix: str) -> str:
+    return f"{prefix}{next(_fresh_counter)}"
 
 
 def _plug(term: Term, mapping: dict[str, Term]) -> Term:

@@ -3,20 +3,37 @@
 A verbatim copy of the package's first normalizer: `_subst` recomputes
 the replacement's free variables at every binder it crosses, `_eta_long`
 types every subterm it visits and the eta-long result is beta-normalized
-once more.  Slow, but every step is the textbook definition.  It draws
-fresh names from the package's own counter, so a test can compare both
-the terms and how far each normalizer advanced the counter.
+once more.  Slow, but every step is the textbook definition.  Fresh
+names come from this module's own counter; a renamed binder takes the
+next one that is free in neither the body nor the replacement.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from lambeksem.terms import (BETA, BETA_ETA_LONG, Abs, App, Arrow, Const, PolyInst,
-                             Term, TermError, Var, apply_spine, free_vars, fresh_name,
-                             spine, type_of)
+                             Term, TermError, Var, free_vars, spine, type_of)
+
+_fresh_counter = itertools.count()
 
 
-def _rename_bound(term: Abs) -> Abs:
-    new = fresh_name(term.var.rstrip("0123456789") or "_v")
+def fresh_name(prefix: str) -> str:
+    return f"{prefix}{next(_fresh_counter)}"
+
+
+def apply_spine(head: Term, args: list[Term]) -> Term:
+    for a in args:
+        head = App(head, a)
+    return head
+
+
+def _rename_bound(term: Abs, replacement: Term) -> Abs:
+    taken = free_vars(term.body) | free_vars(replacement)
+    prefix = term.var.rstrip("0123456789") or "_v"
+    new = fresh_name(prefix)
+    while new in taken:
+        new = fresh_name(prefix)
     body = _subst(term.body, term.var, Var(new, term.var_type))
     return Abs(new, term.var_type, body)
 
@@ -34,7 +51,7 @@ def _subst(term: Term, target: str, replacement: Term) -> Term:
         if term.var == target:
             return term
         if term.var in free_vars(replacement) and target in free_vars(term.body):
-            term = _rename_bound(term)
+            term = _rename_bound(term, replacement)
         return Abs(term.var, term.var_type, _subst(term.body, target, replacement))
     raise TermError(f"unknown term node: {term!r}")
 

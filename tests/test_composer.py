@@ -1,11 +1,11 @@
 import itertools
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambeksem import (
+    Abs,
     App,
     Arrow,
     BETA,
@@ -37,16 +37,18 @@ from lambeksem import (
     to_formula,
     type_of,
 )
-from lambeksem import composer, terms
+from lambeksem import composer
 from lambeksem.cli import RunConfig, run
-from lambeksem.terms import free_vars, term_to_text
+from lambeksem.terms import TermError, canonicalize, free_vars, term_to_text
 
+import readoracle
 import substoracle
 import termoracle
 from conftest import DATA
 from test_composition_pins import pinned_sentences
 
-from test_terms import reduced_flagship, unreduced_flagship
+from test_terms import (BASES, reduced_flagship, small_types, typed_term,
+                        unreduced_flagship)
 
 DOG = SortAtom("dog")
 HUMAN = SortAtom("human")
@@ -495,31 +497,126 @@ def test_property_readings_do_not_depend_on_history(demo_lexicon, sentence,
     assert [r.formula_term for r in first] == [r.formula_term for r in again]
 
 
-def test_analysis_draws_no_fresh_names(demo_lexicon):
-    before = int(terms.fresh_name("n")[1:])
+def test_analysis_reads_each_candidate_back_once(demo_lexicon, monkeypatch):
+    # One read-back gives a candidate's reading, key and type check; the
+    # separate checks run only for a candidate it refuses.
+    counts = {"evaluate": 0, "read_back_keyed": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(composer, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(composer, name, counted)
+    for name in ("read_back", "type_of", "free_vars"):
+        monkeypatch.setattr(composer, name, None)
     for sentence in CORPUS_SENTENCES:
         analyze(sentence.split(), demo_lexicon)
-    assert int(terms.fresh_name("n")[1:]) == before + 1
+    assert counts["evaluate"] == counts["read_back_keyed"] > 0
 
 
 @given(st.sampled_from(SUBSTITUTION_SENTENCES))
 @settings(max_examples=60, deadline=None)
 def test_property_candidate_keys_match_reference(demo_lexicon, sentence):
-    # Record each candidate `analyze` evaluates and the key it builds
-    # from that evaluation.
-    seen = []
+    # The candidates are every repair of every parse.  Grouped and sorted
+    # by their reference keys, they must be the readings: each made from
+    # the first candidate with its key, with one provenance per candidate.
+    words = sentence.split()
+    available = phrase_coercions(demo_lexicon, words)
+    first, counts = {}, {}
+    for parse in enumerate_parses(demo_lexicon, words, "S"):
+        substituted = substitute_lexical(parse, demo_lexicon)
+        for candidate, _ in resolve_coercions(substituted, available):
+            beta_normal = termoracle.normalize(candidate, BETA)
+            key = canonical_key(termoracle.normalize(beta_normal, BETA_ETA_LONG))
+            first.setdefault(key, canonicalize(beta_normal))
+            counts[key] = counts.get(key, 0) + 1
+    readings = analyze(words, demo_lexicon).readings
+    assert [r.formula_term for r in readings] == [first[k] for k in sorted(first)]
+    assert [len(r.provenances) for r in readings] == [counts[k] for k in sorted(first)]
 
-    def evaluate(term):
-        seen.append([term])
-        return terms.evaluate(term)
 
-    def key_text(term):
-        seen[-1].append(terms.key_text(term))
-        return seen[-1][-1]
+# ---------------------------------------------------------------------------
+# one read-back per candidate
 
-    with mock.patch.object(composer, "evaluate", evaluate), \
-            mock.patch.object(composer, "key_text", key_text):
-        analyze(sentence.split(), demo_lexicon)
-    for candidate, key in seen:
-        beta_normal = termoracle.normalize(candidate, BETA)
-        assert key == canonical_key(termoracle.normalize(beta_normal, BETA_ETA_LONG))
+
+def subterms(term, path=()):
+    yield path, term
+    if isinstance(term, App):
+        yield from subterms(term.fn, path + ("fn",))
+        yield from subterms(term.arg, path + ("arg",))
+    elif isinstance(term, Abs):
+        yield from subterms(term.body, path + ("body",))
+
+
+def replace_at(term, path, new):
+    if not path:
+        return new
+    if path[0] == "fn":
+        return App(replace_at(term.fn, path[1:], new), term.arg)
+    if path[0] == "arg":
+        return App(term.fn, replace_at(term.arg, path[1:], new))
+    return Abs(term.var, term.var_type, replace_at(term.body, path[1:], new))
+
+
+@st.composite
+def spoiled(draw, term):
+    """The term with one fault drawn at one of its subterms: a variable
+    annotated unlike its binder, or in place of a subterm a constant of
+    any type (a sort or arrow clash), a constant of base type applied to
+    it (a non-function head), or a free variable.  Each fault only
+    relabels a variable or puts an atom where a subterm was, so the
+    untyped term still has a simply typed erasure and evaluates to a
+    normal form."""
+    found = list(subterms(term))
+    variables = [(p, t) for p, t in found if isinstance(t, Var)]
+    kind = draw(st.sampled_from(["annotation"] * 3 * bool(variables)
+                                + ["clash", "head", "free"]))
+    if kind == "annotation":
+        path, var = draw(st.sampled_from(variables))
+        return replace_at(term, path, Var(var.name, draw(
+            small_types.filter(lambda ty: ty != var.type))))
+    path, sub = draw(st.sampled_from(found))
+    if kind == "clash":
+        return replace_at(term, path, Const("clash", draw(small_types)))
+    if kind == "head":
+        return replace_at(term, path, App(Const("head", draw(st.sampled_from(BASES))), sub))
+    # Not named like a read-back binder, so skipping free names renames
+    # nothing; a loaded lexicon's candidates have no free variables.
+    return replace_at(term, path, Var("free", draw(small_types)))
+
+
+@st.composite
+def rebound(draw):
+    """A constant applied to \\x:D. (M x), where M x is well typed with
+    x at a drawn type: if it is not D, only checking each occurrence of
+    x against its binder finds it."""
+    domain, used = draw(small_types), draw(small_types)
+    fn = draw(typed_term(Arrow(used, T), {"x": used}, 2))
+    return App(Const("q", Arrow(Arrow(domain, T), T)),
+               Abs("x", domain, App(fn, Var("x", used))))
+
+
+@st.composite
+def loose_candidates(draw):
+    """Closed terms, mostly of type t, with up to two faults."""
+    term = draw(st.one_of(st.just(T), small_types).flatmap(
+        lambda ty: typed_term(ty, {}, 2)) | rebound())
+    for _ in range(draw(st.integers(0, 2))):
+        term = draw(spoiled(term))
+    return term
+
+
+def read_outcome(read, term):
+    try:
+        return read(term)
+    except (CompositionError, TermError) as exc:
+        return (type(exc), str(exc), getattr(exc, "site", None),
+                getattr(exc, "expected", None), getattr(exc, "found", None))
+
+
+@given(loose_candidates())
+@settings(max_examples=300, deadline=None)
+def test_property_one_read_back_matches_two(term):
+    # The reading and key of a candidate, or the exception it raises,
+    # are those of the separate untyped and typed read-backs and checks.
+    assert (read_outcome(composer._reading_and_key, term)
+            == read_outcome(readoracle.reading_and_key, term))

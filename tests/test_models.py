@@ -1,7 +1,9 @@
 """Readings checked by meaning: every candidate of a sentence, read with
 its coercions applied where its sites are, and the reading it became
 have the same truth value in every sampled finite model
-(`tests/modeloracle.py`)."""
+(`tests/modeloracle.py`).  The candidate is substituted both by the
+package and by the per-parse reference (`tests/substoracle.py`), so a
+fault in how substitution unfolds definitions shows too."""
 
 import random
 import sys
@@ -11,6 +13,7 @@ import pytest
 from lambeksem import analyze, substitute_lexical
 
 import modeloracle
+import substoracle
 from conftest import DATA
 from test_composer import CORPUS_SENTENCES
 
@@ -30,6 +33,7 @@ def test_candidates_and_readings_agree_in_finite_models(demo_lexicon, sentence):
     for reading in analyze(sentence.split(), demo_lexicon).readings:
         truths = [m.truth(reading.formula_term) for m in models]
         for provenance in reading.provenances:
-            candidate = substitute_lexical(provenance.parse, demo_lexicon)
             repairs = {site.location: chain for site, chain in provenance.choices}
-            assert [m.truth(candidate, repairs) for m in models] == truths
+            for substitute in (substitute_lexical, substoracle.substitute_lexical):
+                candidate = substitute(provenance.parse, demo_lexicon)
+                assert [m.truth(candidate, repairs) for m in models] == truths

@@ -21,12 +21,11 @@ from lambeksem import (
     canonical_key,
     classify_occurrences,
     normalize,
-    substitute,
     type_of,
 )
-from lambeksem import terms
 from lambeksem.terms import (PolyInst, TypeVar, UnificationError, Unifier,
-                             canonicalize, free_vars, is_hole, map_types, poly_inst)
+                             canonicalize, evaluate, free_vars, is_hole, key_text,
+                             map_types, poly_inst, read_back, read_back_keyed)
 
 import termoracle
 
@@ -86,47 +85,37 @@ def test_type_of_context_disagreement():
 
 
 # ---------------------------------------------------------------------------
-# substitute
+# the reference's capture-avoiding substitution (tests/termoracle.py)
 
 
-def test_substitute_no_capture():
+def test_reference_substitution_avoids_capture():
     body = lam("Q", ET, App(FORALL, lam("x", E, app(
         IMPLIES, App(Var("P", ET), Var("x", E)), App(Var("Q", ET), Var("x", E))))))
     expected = lam("Q", ET, App(FORALL, lam("x", E, app(
         IMPLIES, App(KID, Var("x", E)), App(Var("Q", ET), Var("x", E))))))
-    assert alpha_eq(substitute(body, "P", KID), expected)
+    assert alpha_eq(termoracle._subst(body, "P", KID), expected)
 
 
-def test_substitute_renames_capturing_binder():
+def test_reference_substitution_renames_capturing_binder():
     term = lam("x", E, Var("y", E))
-    result = substitute(term, "y", Var("x", E))
+    result = termoracle._subst(term, "y", Var("x", E))
     assert alpha_eq(result, lam("w", E, Var("x", E)))
     assert free_vars(result) == {"x"}
 
 
-def test_substitute_renames_to_a_name_not_already_free():
-    # The second call's fresh name would be x1 if the counter stood at 1;
+def test_reference_substitution_renames_to_a_name_not_already_free(monkeypatch):
+    # The second call's fresh name would be x1 with the counter at 1;
     # x1 is free in the body and must stay free.
     g = Const("g", Arrow(E, Arrow(E, ET)))
     term = lam("x", E, app(g, Var("x", E), Var("x1", E), Var("y", E)))
-    saved = terms._fresh_counter
-    terms._fresh_counter = itertools.count(0)
-    try:
-        results = [substitute(term, "y", Var("x", E)) for _ in range(2)]
-    finally:
-        terms._fresh_counter = saved
-    for result in results:
-        assert free_vars(result) == {"x", "x1"}
+    monkeypatch.setattr(termoracle, "_fresh_counter", itertools.count(0))
+    for _ in range(2):
+        assert free_vars(termoracle._subst(term, "y", Var("x", E))) == {"x", "x1"}
 
 
-def test_substitute_without_occurrence_is_identity():
+def test_reference_substitution_without_occurrence_is_identity():
     term = lam("x", E, App(KID, Var("x", E)))
-    assert substitute(term, "y", Var("z", E)) == term
-
-
-def test_substitute_rejects_type_changing_replacement():
-    with pytest.raises(TypeMismatch):
-        substitute(Var("y", E), "y", KID)
+    assert termoracle._subst(term, "y", Var("z", E)) == term
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +164,6 @@ def test_normalize_normal_form_is_fixed_point():
     assert normalize(term, BETA) == canonicalize(term)
 
 
-def test_substitute_returns_an_untouched_term_itself():
-    term = reduced_flagship()
-    assert substitute(term, "y", Var("z", E)) is term
-
-
-def test_normalize_draws_no_fresh_names():
-    before = int(terms.fresh_name("n")[1:])
-    normalize(unreduced_flagship(), BETA_ETA_LONG)
-    normalize(App(EXISTS, KID), BETA_ETA_LONG)
-    assert int(terms.fresh_name("n")[1:]) == before + 1
-
-
 def test_normalize_names_binders_around_free_variables():
     # b0 is free, so the binder read back first is named b1.
     term = App(lam("x", ET, lam("y", E, App(Var("x", ET), Var("y", E)))),
@@ -198,6 +175,13 @@ def test_normalize_names_binders_around_free_variables():
 def test_normalize_eta_long_expands_first_order_argument():
     long = normalize(App(EXISTS, KID), BETA_ETA_LONG)
     assert alpha_eq(long, App(EXISTS, lam("x", E, App(KID, Var("x", E)))))
+
+
+def test_keyed_read_back_refuses_a_value_of_another_type():
+    value = evaluate(App(EXISTS, KID))
+    assert read_back_keyed(value, T) == (App(EXISTS, KID), key_text(
+        normalize(App(EXISTS, KID), BETA_ETA_LONG)))
+    assert read_back_keyed(value, ET) is None
 
 
 @pytest.mark.parametrize("ill_typed", [
@@ -450,23 +434,11 @@ def closed_over(term):
     return term
 
 
-def reference(term, mode):
-    """termoracle's normal form.  Its fresh names come from a counter
-    started high enough that they never meet a name the term uses, such
-    as x1, which the oracle does not check for."""
-    saved = terms._fresh_counter
-    terms._fresh_counter = itertools.count(100)
-    try:
-        return termoracle.normalize(term, mode)
-    finally:
-        terms._fresh_counter = saved
-
-
 @given(capture_prone_terms(CAPTURE_NAMES, CAPTURE_ENV).map(closed_over))
 @settings(max_examples=300, deadline=None)
 def test_property_normalize_matches_reference_on_closed_terms(term):
     for mode in (BETA, BETA_ETA_LONG):
-        assert normalize(term, mode) == canonicalize(reference(term, mode))
+        assert normalize(term, mode) == canonicalize(termoracle.normalize(term, mode))
 
 
 @given(capture_prone_terms(CAPTURE_NAMES, CAPTURE_ENV)
@@ -474,9 +446,18 @@ def test_property_normalize_matches_reference_on_closed_terms(term):
 @settings(max_examples=300, deadline=None)
 def test_property_normalize_matches_reference_on_open_terms(term):
     for mode in (BETA, BETA_ETA_LONG):
-        out, expected = normalize(term, mode), reference(term, mode)
+        out, expected = normalize(term, mode), termoracle.normalize(term, mode)
         assert alpha_eq(out, expected)
         assert free_vars(out) == free_vars(expected)
+
+
+@given(capture_prone_terms(CAPTURE_NAMES, CAPTURE_ENV).map(closed_over))
+@settings(max_examples=150, deadline=None)
+def test_property_keyed_read_back_prints_the_eta_long_form(term):
+    # One traversal builds the eta-long form as a term or as its key text.
+    value = evaluate(term)
+    assert read_back_keyed(value, type_of(term)) == (
+        normalize(term, BETA), key_text(normalize(term, BETA_ETA_LONG)))
 
 
 @given(open_terms)
@@ -497,11 +478,11 @@ def test_property_normalization_idempotent(term):
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_property_substitution_sound_and_capture_free(data):
+def test_property_reference_substitution_sound_and_capture_free(data):
     term = data.draw(open_terms)
     replacement = data.draw(typed_term(FREE_ENV["f0"], dict(FREE_ENV), 1))
     before = type_of(term, FREE_ENV)
-    result = substitute(term, "f0", replacement)
+    result = termoracle._subst(term, "f0", replacement)
     assert type_of(result, FREE_ENV) == before
     if "f0" in free_vars(term):
         assert free_vars(result) == (free_vars(term) - {"f0"}) | free_vars(replacement)
